@@ -3,10 +3,18 @@
 Modes follow the problem type: an InequalityQuboModel anneals n item bits with
 the inequality filter screening every proposal before the crossbar is read
 ("hycim"), a DQuboModel anneals all n + C bits on the penalty landscape with
-no filter ("dqubo").  Backends share one decision procedure: "exact-software"
-computes energies digitally with incremental updates, "behavioral-cim" reads
-them from the array models.  With noise disabled the two backends consume the
-same random stream and return identical records.
+no filter ("dqubo").
+
+One lockstep loop serves both modes and both backends.  It advances a block
+of runs together on (runs, dim) arrays, one proposal per run per iteration.
+Every run pregenerates its flips and Metropolis gates from its own seed, so
+its record does not depend on the block size, on the runs it shares a block
+with, or on the jobs worker count; sa_run is a block of one.  dqubo is the
+same loop with a gate that always passes.  The backends differ only in the
+gate and the energy: "exact-software" applies the weight inequality and
+updates energies through local fields, "behavioral-cim" makes one filter check
+and one crossbar read per run and proposal with that run's own generator.
+With noise disabled the two backends return identical records.
 
 Proposals flip one uniformly chosen bit.  A proposal is accepted when its
 energy change dE satisfies dE <= 0, otherwise with probability exp(-dE / T)
@@ -26,13 +34,21 @@ import numpy as np
 from .crossbar_sim import program_crossbar, vmv_energy
 from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check
-from .qkp import QkpInstance, as_bits, qkp_objective
+from .qkp import QkpInstance, as_bits
 from .transform import DQuboModel, InequalityQuboModel, build_dqubo, build_inequality_qubo
 
 MODE_HYCIM = "hycim"
 MODE_DQUBO = "dqubo"
 BACKEND_EXACT = "exact-software"
 BACKEND_CIM = "behavioral-cim"
+
+# Pregenerated draws per lockstep block: the flip and gate buffers take 8 MiB each.
+_BLOCK_DRAWS = 1 << 20
+# The vectorized Metropolis test compares int64 energy changes with float64
+# thresholds, which is exact only for magnitudes up to 2^53.
+_ENERGY_LIMIT = 1 << 53
+# delta = 1 - 2 x_j looked up by x_j: +1 when a flip switches bit j on, -1 when off
+_FLIP_SIGN = np.array([1, -1])
 
 
 @dataclass(frozen=True)
@@ -42,7 +58,6 @@ class AnnealSchedule:
     iterations: int = 1000
     t_start: float = 1.0
     t_end: float = 0.01
-    decay: str = "geometric"
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -51,8 +66,6 @@ class AnnealSchedule:
             raise ValidationError("t_end", f"must be positive, got {self.t_end}")
         if self.t_start < self.t_end:
             raise ValidationError("t_start", f"must be >= t_end, got {self.t_start} < {self.t_end}")
-        if self.decay != "geometric":
-            raise ValidationError("decay", f"only geometric decay is supported, got {self.decay!r}")
 
     def temperatures(self) -> np.ndarray:
         if self.iterations == 1:
@@ -121,243 +134,179 @@ class _Context:
             raise ConfigurationError(f"cannot anneal a {type(problem).__name__}")
         if backend not in (BACKEND_EXACT, BACKEND_CIM):
             raise ConfigurationError(f"unknown backend {backend!r}")
+        if crossbar_noise_sigma and backend != BACKEND_CIM:
+            raise ConfigurationError("crossbar_noise_sigma needs the behavioral-cim backend")
+        qubo = problem.qubo
+        bound = qubo.energy_bound()
+        if bound > _ENERGY_LIMIT:
+            raise ConfigurationError(
+                f"energies up to {bound} exceed 2^53, beyond exact Metropolis comparisons"
+            )
         self.backend = backend
-        self.problem = problem
         self.instance = problem.instance
-        self.qubo = problem.qubo
-        self.dim = problem.qubo.dim
+        self.qubo = qubo
+        self.dim = qubo.dim
         self.n = self.instance.n
         self.capacity = problem.capacity
-        self.offset = problem.qubo.offset
-        q = problem.qubo.q
-        r0 = (q + q.T).copy()
-        np.fill_diagonal(r0, 0)
-        self.r0 = r0
-        self.diag = np.diagonal(q).astype(np.int64).tolist()
-        self.weights = self.instance.weights.tolist()
+        self.weights = np.zeros(self.dim, dtype=np.int64)  # slack bits weigh nothing
+        self.weights[: self.n] = self.instance.weights
         self.iterations = schedule.iterations
-        self.temps = schedule.temperatures().tolist()
-        self.schedule = schedule
-        self.filter_model = None
-        self.crossbar = None
-        if backend == BACKEND_CIM:
-            self.crossbar = program_crossbar(problem.qubo, noise_sigma=crossbar_noise_sigma)
+        self.temps = schedule.temperatures()
+        if backend == BACKEND_EXACT:
+            r0 = qubo.q + qubo.q.T
+            np.fill_diagonal(r0, 0)
+            self.r0 = r0
+            self.diag = np.diagonal(qubo.q)
+        else:
+            self.crossbar = program_crossbar(qubo, noise_sigma=crossbar_noise_sigma)
+            self.crossbar_noisy = crossbar_noise_sigma > 0
+            self.filter_model = None  # dqubo proposals are never gated
             if self.mode == MODE_HYCIM:
                 self.filter_model = build_filter(
                     self.instance.weights, self.capacity, filter_config or FilterConfig()
                 )
-        elif crossbar_noise_sigma:
-            raise ConfigurationError("crossbar_noise_sigma needs the behavioral-cim backend")
-        self.crossbar_noisy = crossbar_noise_sigma > 0
 
 
-def _finish(ctx, seed, best_energy, best_v, traj, rejections, evaluations):
-    best_bits = np.array(best_v, dtype=np.int8)
-    xs = best_bits if ctx.mode == MODE_HYCIM else best_bits[: ctx.n]
-    wsum = int(ctx.instance.weights @ xs.astype(np.int64))
-    qkp = qkp_objective(ctx.instance, xs) if wsum <= ctx.capacity else 0
-    return RunRecord(
-        seed=seed,
-        mode=ctx.mode,
-        best_energy=best_energy,
-        best_config=best_bits,
-        best_qkp_value=qkp,
-        trajectory=traj,
-        filter_rejections=rejections,
-        evaluations=evaluations,
-    )
+def _cim_evaluate(ctx, configs, rngs, energies):
+    """Gate verdicts (None when nothing gates) and energies of one configuration
+    per run: a filter check in hycim mode and, when it passes, a crossbar read,
+    each with that run's generator.  Gated runs keep their given energy."""
+    passed = None
+    if ctx.filter_model is not None:
+        passed = np.array([filter_check(ctx.filter_model, config, rng).feasible
+                           for config, rng in zip(configs, rngs)])
+    energies = energies.copy()
+    for r in range(len(configs)) if passed is None else np.flatnonzero(passed):
+        reading = vmv_energy(ctx.crossbar, configs[r], rngs[r])
+        energies[r] = reading.value if ctx.crossbar_noisy else reading.exact_value
+    return passed, energies
 
 
-def _pregenerate(rng, dim, iters):
-    flips = rng.integers(0, dim, size=iters).tolist()
-    # Metropolis thresholds: accept dE > 0 iff dE < T * g with g = -log u
-    gates = (-np.log(rng.random(size=iters))).tolist()
-    return flips, gates
-
-
-def _run_exact(ctx, initial, seed, record_trajectory, on_evaluate):
-    rng = np.random.default_rng(seed)
-    iters = ctx.iterations
-    flips, gates = _pregenerate(rng, ctx.dim, iters)
-    temps = ctx.temps
+def _anneal(ctx, initials, seeds, record_trajectory=False, on_evaluate=None):
+    """Advance one block of runs in lockstep; one RunRecord per seed, in order."""
+    runs, iters, cap = len(seeds), ctx.iterations, ctx.capacity
+    exact = ctx.backend == BACKEND_EXACT
     hycim = ctx.mode == MODE_HYCIM
-    v = [int(b) for b in as_bits(initial, ctx.dim)]
-    varr = np.array(v, dtype=np.int64)
-    qf = int(varr @ ctx.qubo.q @ varr) + ctx.offset
-    c = ctx.r0 @ varr
-    r0 = ctx.r0
-    diag = ctx.diag
-    w = ctx.weights
-    cap = ctx.capacity
-    n = ctx.n
-    wsum = sum(w[i] for i in range(n) if v[i])
-    if hycim:
-        feas = wsum <= cap
-        energy = qf if feas else 0
+    flips = np.empty((iters, runs), dtype=np.intp)
+    thresholds = np.empty((iters, runs))
+    rngs = []
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        flips[:, r] = rng.integers(0, ctx.dim, size=iters)
+        # Metropolis thresholds: accept dE > 0 iff dE < T * g with g = -log u
+        thresholds[:, r] = -np.log(rng.random(size=iters))
+        rngs.append(rng)
+    thresholds *= ctx.temps[:, None]
+    # a positive floor makes dE < threshold pass every dE <= 0 and no dE > 0
+    np.maximum(thresholds, np.finfo(np.float64).smallest_subnormal, out=thresholds)
+
+    x = np.array([as_bits(v, ctx.dim) for v in initials])
+    xf = x.reshape(-1)
+    base = np.arange(runs) * ctx.dim  # flat offset of each run's row
+    wsum = x @ ctx.weights
+    if exact:
+        xl = x.astype(np.int64)
+        qf = np.einsum("ri,ij,rj->r", xl, ctx.qubo.q, xl) + ctx.qubo.offset
+        # flipping bit j changes x^T q x by delta * field[r, j]
+        field = xl @ ctx.r0 + ctx.diag
+        fieldf = field.reshape(-1)
+        feas = wsum <= cap if hycim else np.ones(runs, dtype=bool)
+        energy = np.where(feas, qf, 0)
     else:
-        feas = True
-        energy = qf
-    best_e = energy
-    best_v = v.copy()
-    rejections = 0
-    evaluations = 0
-    traj = [] if record_trajectory else None
+        zeros = np.zeros(runs, dtype=np.float64 if ctx.crossbar_noisy else np.int64)
+        feas, energy = _cim_evaluate(ctx, x, rngs, zeros)
+        if feas is None:
+            feas = np.ones(runs, dtype=bool)
+    all_feasible = bool(feas.all())
+    track_weight = exact and hycim or record_trajectory  # wsum gates, and shows in dqubo trajectories
+    passed = None  # None: every proposal passes the gate
+    best_e = energy.copy()
+    best_x = x.copy()
+    evaluations = np.zeros(runs, dtype=np.int64) if hycim else np.full(runs, iters)
+    if record_trajectory:
+        traj_e = np.empty((iters, runs), dtype=energy.dtype)
+        traj_moved = np.empty((iters, runs), dtype=bool)
+        traj_feas = np.empty((iters, runs), dtype=bool)
+
     for i in range(iters):
         j = flips[i]
-        delta = 1 - 2 * v[j]
-        if hycim:
-            wn = wsum + delta * w[j]
-            if wn > cap:
-                rejections += 1
-                accepted = False
-                if not feas:
-                    # zero-energy drift before the first feasible acceptance
-                    qf += delta * (diag[j] + int(c[j]))
-                    if delta == 1:
-                        c += r0[j]
-                    else:
-                        c -= r0[j]
-                    v[j] = 1 - v[j]
-                    wsum = wn
-                    accepted = True
-                if traj is not None:
-                    traj.append((i, energy, accepted, False))
-                continue
-            qf_new = qf + delta * (diag[j] + int(c[j]))
-            evaluations += 1
-            if on_evaluate is not None:
-                probe = v.copy()
-                probe[j] = 1 - probe[j]
-                on_evaluate(probe, qf_new)
-            if qf_new < best_e:
-                # every evaluated proposal counts as seen, accepted or not
-                best_e = qf_new
-                best_v = v.copy()
-                best_v[j] = 1 - best_v[j]
-            de = qf_new - energy
-            accepted = de <= 0 or de < temps[i] * gates[i]
-            if accepted:
-                v[j] = 1 - v[j]
-                if delta == 1:
-                    c += r0[j]
-                else:
-                    c -= r0[j]
-                wsum = wn
-                qf = qf_new
-                energy = qf_new
-                feas = True
-            if traj is not None:
-                traj.append((i, energy, accepted, True))
+        pos = base + j
+        delta = _FLIP_SIGN[xf[pos]]
+        if track_weight:
+            wn = wsum + delta * ctx.weights[j]
+        if exact:
+            if hycim:
+                passed = wn <= cap
+            e_new = qf + delta * fieldf[pos]
         else:
-            de = delta * (diag[j] + int(c[j]))
-            evaluations += 1
-            e_new = energy + de
-            if on_evaluate is not None:
-                probe = v.copy()
-                probe[j] = 1 - probe[j]
-                on_evaluate(probe, e_new)
-            if e_new < best_e:
-                best_e = e_new
-                best_v = v.copy()
-                best_v[j] = 1 - best_v[j]
-            accepted = de <= 0 or de < temps[i] * gates[i]
-            if accepted:
-                v[j] = 1 - v[j]
-                if delta == 1:
-                    c += r0[j]
-                else:
-                    c -= r0[j]
-                qf += de
-                energy = qf
-                if j < n:
-                    wsum += delta * w[j]
-            if traj is not None:
-                traj.append((i, energy, accepted, wsum <= cap))
-    return _finish(ctx, seed, best_e, best_v, traj, rejections, evaluations)
+            probes = x.copy()
+            probes.reshape(-1)[pos] ^= 1
+            passed, e_new = _cim_evaluate(ctx, probes, rngs, energy)
+        if on_evaluate is not None:
+            for r in range(runs) if passed is None else np.flatnonzero(passed):
+                probe = x[r].copy()
+                probe[j[r]] ^= 1
+                on_evaluate(probe.tolist(), e_new[r].item())
+        # every evaluated proposal counts as seen, accepted or not
+        improved = e_new < best_e
+        de = e_new - energy
+        accepted = de < thresholds[i]
+        if passed is not None:
+            evaluations += passed
+            improved &= passed
+            accepted &= passed
+        better = np.flatnonzero(improved)
+        if better.size:
+            best_e[better] = e_new[better]
+            best_x[better] = x[better]
+            best_x[better, j[better]] ^= 1
+        moved = accepted
+        if not all_feasible:
+            # zero-energy drift before the first feasible acceptance
+            moved = accepted | ~(passed | feas)
+            feas |= accepted
+            all_feasible = bool(feas.all())
+        energy = np.where(accepted, e_new, energy)
+        if track_weight:
+            wsum = np.where(moved, wn, wsum)
+        idx = np.flatnonzero(moved)
+        if idx.size:
+            xf[pos[idx]] ^= 1
+            if exact:
+                # once every run is feasible, qf is the energy; before, drift moves qf alone
+                qf = energy if all_feasible else np.where(moved, e_new, qf)
+                # r0 is symmetric, so row j is the column bit j couples through
+                switched_on = delta[idx] > 0
+                on, off = idx[switched_on], idx[~switched_on]
+                if on.size:
+                    field[on] += ctx.r0.take(j[on], axis=0)
+                if off.size:
+                    field[off] -= ctx.r0.take(j[off], axis=0)
+        if record_trajectory:
+            traj_e[i] = energy
+            traj_moved[i] = moved
+            traj_feas[i] = passed if hycim else wsum <= cap
 
-
-def _read(ctx, x, rng):
-    reading = vmv_energy(ctx.crossbar, x, rng)
-    return reading.value if ctx.crossbar_noisy else reading.exact_value
-
-
-def _run_behavioral(ctx, initial, seed, record_trajectory, on_evaluate):
-    rng = np.random.default_rng(seed)
-    iters = ctx.iterations
-    flips, gates = _pregenerate(rng, ctx.dim, iters)
-    temps = ctx.temps
-    hycim = ctx.mode == MODE_HYCIM
-    x = as_bits(initial, ctx.dim).copy()
-    w = ctx.weights
-    cap = ctx.capacity
-    n = ctx.n
-    wsum = sum(w[i] for i in range(n) if x[i])
-    if hycim:
-        feas = filter_check(ctx.filter_model, x, rng).feasible
-        energy = _read(ctx, x, rng) if feas else 0
-    else:
-        feas = True
-        energy = _read(ctx, x, rng)
-    best_e = energy
-    best_v = x.tolist()
-    rejections = 0
-    evaluations = 0
-    traj = [] if record_trajectory else None
-    for i in range(iters):
-        j = flips[i]
-        x_new = x.copy()
-        x_new[j] = 1 - x_new[j]
-        if hycim:
-            if not filter_check(ctx.filter_model, x_new, rng).feasible:
-                rejections += 1
-                accepted = False
-                if not feas:
-                    x = x_new
-                    wsum += (2 * int(x_new[j]) - 1) * w[j]
-                    accepted = True
-                if traj is not None:
-                    traj.append((i, energy, accepted, False))
-                continue
-            e_new = _read(ctx, x_new, rng)
-            evaluations += 1
-            if on_evaluate is not None:
-                on_evaluate(x_new.tolist(), e_new)
-            if e_new < best_e:
-                best_e = e_new
-                best_v = x_new.tolist()
-            de = e_new - energy
-            accepted = de <= 0 or de < temps[i] * gates[i]
-            if accepted:
-                wsum += (2 * int(x_new[j]) - 1) * w[j]
-                x = x_new
-                energy = e_new
-                feas = True
-            if traj is not None:
-                traj.append((i, energy, accepted, True))
-        else:
-            e_new = _read(ctx, x_new, rng)
-            evaluations += 1
-            if on_evaluate is not None:
-                on_evaluate(x_new.tolist(), e_new)
-            if e_new < best_e:
-                best_e = e_new
-                best_v = x_new.tolist()
-            de = e_new - energy
-            accepted = de <= 0 or de < temps[i] * gates[i]
-            if accepted:
-                if j < n:
-                    wsum += (2 * int(x_new[j]) - 1) * w[j]
-                x = x_new
-                energy = e_new
-            if traj is not None:
-                traj.append((i, energy, accepted, wsum <= cap))
-    return _finish(ctx, seed, best_e, best_v, traj, rejections, evaluations)
-
-
-def _run(ctx, initial, seed, record_trajectory, on_evaluate):
-    if ctx.backend == BACKEND_EXACT:
-        return _run_exact(ctx, initial, seed, record_trajectory, on_evaluate)
-    return _run_behavioral(ctx, initial, seed, record_trajectory, on_evaluate)
+    xs = best_x[:, : ctx.n].astype(np.int64)
+    profit = np.einsum("ri,ij,rj->r", xs, ctx.instance.profits, xs)
+    values = np.where(xs @ ctx.instance.weights <= cap, profit, 0)
+    records = []
+    for r, seed in enumerate(seeds):
+        traj = None
+        if record_trajectory:
+            traj = list(zip(range(iters), traj_e[:, r].tolist(), traj_moved[:, r].tolist(),
+                            traj_feas[:, r].tolist()))
+        records.append(RunRecord(
+            seed=seed,
+            mode=ctx.mode,
+            best_energy=best_e[r].item(),
+            best_config=best_x[r],
+            best_qkp_value=int(values[r]),
+            trajectory=traj,
+            filter_rejections=iters - int(evaluations[r]),
+            evaluations=int(evaluations[r]),
+        ))
+    return records
 
 
 def sa_run(
@@ -382,7 +331,7 @@ def sa_run(
     if schedule is None:
         schedule = default_schedule(problem)
     ctx = _Context(problem, backend, schedule, filter_config, crossbar_noise_sigma)
-    return _run(ctx, initial, seed, record_trajectory, on_evaluate)
+    return _anneal(ctx, [initial], [seed], record_trajectory, on_evaluate)[0]
 
 
 def _derived_seed(master_seed: int, initial_index: int, run_index: int) -> int:
@@ -411,11 +360,13 @@ def _batch_worker(payload):
         schedule = default_schedule(problem)
     ctx = _Context(problem, backend, schedule, filter_config, crossbar_noise_sigma)
     initials = _draw_initials(master_seed, num_initials, ctx.dim)
+    keys = [(i, r) for i in range(lo, hi) for r in range(runs_per_initial)]
+    block = max(1, _BLOCK_DRAWS // ctx.iterations)
     out = []
-    for i in range(lo, hi):
-        for r in range(runs_per_initial):
-            rec = _run(ctx, initials[i], _derived_seed(master_seed, i, r), False, None)
-            out.append((i, r, rec))
+    for start in range(0, len(keys), block):
+        chunk = keys[start:start + block]
+        out += _anneal(ctx, [initials[i] for i, _ in chunk],
+                       [_derived_seed(master_seed, i, r) for i, r in chunk])
     return out
 
 
@@ -437,8 +388,8 @@ def batch_solve(
     """Anneal num_initials uniform starting points, runs_per_initial runs each.
 
     Every run's seed derives from (master_seed, initial_index, run_index), so
-    results do not depend on execution order or on the jobs worker count.
-    Records are ordered by (initial_index, run_index).
+    results do not depend on execution order, on lockstep blocking or on the
+    jobs worker count.  Records are ordered by (initial_index, run_index).
     """
     if num_initials < 1:
         raise ValidationError("num_initials", f"must be >= 1, got {num_initials}")
@@ -446,27 +397,20 @@ def batch_solve(
         raise ValidationError("runs_per_initial", f"must be >= 1, got {runs_per_initial}")
     if master_seed < 0:
         raise ConfigurationError("master_seed must be nonnegative")
-    if jobs <= 1 or num_initials == 1:
-        payload = (instance, mode, num_initials, runs_per_initial, schedule, backend,
-                   master_seed, alpha, beta, filter_config, crossbar_noise_sigma, 0, num_initials)
-        tagged = _batch_worker(payload)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    jobs = min(jobs, num_initials)
+    bounds = np.linspace(0, num_initials, max(jobs, 1) + 1).astype(int).tolist()
+    payloads = [
+        (instance, mode, num_initials, runs_per_initial, schedule, backend,
+         master_seed, alpha, beta, filter_config, crossbar_noise_sigma, lo, hi)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    ]
+    if len(payloads) == 1:
+        return _batch_worker(payloads[0])
+    from concurrent.futures import ProcessPoolExecutor
 
-        jobs = min(jobs, num_initials)
-        bounds = np.linspace(0, num_initials, jobs + 1).astype(int).tolist()
-        payloads = [
-            (instance, mode, num_initials, runs_per_initial, schedule, backend,
-             master_seed, alpha, beta, filter_config, crossbar_noise_sigma, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        tagged = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_batch_worker, payloads):
-                tagged.extend(chunk)
-    tagged.sort(key=lambda t: (t[0], t[1]))
-    return [rec for _, _, rec in tagged]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [rec for chunk in pool.map(_batch_worker, payloads) for rec in chunk]
 
 
 def write_trajectory_csv(record: RunRecord, path) -> None:

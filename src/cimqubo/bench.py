@@ -149,7 +149,7 @@ def success_rate_study(
         )
     threshold = threshold_fraction * optimum
     h_schedule = d_schedule = schedule
-    if schedule is None and iterations != 1000:
+    if schedule is None:
         h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
         d_schedule = default_schedule(build_dqubo(instance, alpha, beta), iterations)
     h_records = batch_solve(
@@ -161,7 +161,6 @@ def success_rate_study(
         schedule=d_schedule, master_seed=master_seed,
         alpha=alpha, beta=beta, jobs=jobs,
     )
-    iters = schedule.iterations if schedule is not None else iterations
     h_init, h_run = _success_rates(h_records, threshold, runs_per_initial)
     d_init, d_run = _success_rates(d_records, threshold, runs_per_initial)
     return SuccessReport(
@@ -174,7 +173,7 @@ def success_rate_study(
         dqubo_run_rate=d_run,
         hycim_runs=len(h_records),
         dqubo_runs=len(d_records),
-        iterations=iters,
+        iterations=h_schedule.iterations,
         num_initials=num_initials,
         runs_per_initial=runs_per_initial,
         master_seed=master_seed,

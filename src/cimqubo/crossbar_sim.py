@@ -10,11 +10,12 @@ when x_i = x_j = 1, so the noiseless reading is exactly x^T q x + offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .qkp import as_bits
+from .qkp import _as_rng, as_bits
 from .transform import QuboMatrix
 
 
@@ -54,6 +55,16 @@ class CrossbarModel:
         if len(self.parts) != 1:
             raise ValidationError("planes", "mixed-sign model stores two stacks; use .parts")
         return self.parts[0].planes
+
+    @cached_property
+    def _read_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every plane of every part stacked as (planes * dim, dim) float32 rows,
+        and each plane's signed weight sign * 2^b."""
+        stack = np.concatenate([part.planes for part in self.parts]).reshape(-1, self.dim)
+        scale = np.concatenate(
+            [part.sign * (1 << np.arange(part.bits, dtype=np.int64)) for part in self.parts]
+        )
+        return stack.astype(np.float32), scale
 
     def reconstruct(self) -> QuboMatrix:
         q = np.zeros((self.dim, self.dim), dtype=np.int64)
@@ -105,37 +116,27 @@ def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
     )
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
     """Read the energy of configuration x.
 
-    exact_value is the digital reconstruction x^T q x + offset.  value adds,
-    per conducting cell, a unit-current perturbation eta ~ N(0, noise_sigma)
-    scaled by the cell's plane weight; noiseless readings satisfy
-    value == exact_value.
+    exact_value is the digital reconstruction x^T q x + offset, counted from
+    the conducting cells of every plane.  value adds, per conducting cell, a
+    unit-current perturbation eta ~ N(0, noise_sigma) scaled by the cell's
+    plane weight.  The count cells of one plane sum to a single
+    N(0, count * noise_sigma^2) draw, so a noisy read takes one Gaussian per
+    plane.  Noiseless readings satisfy value == exact_value.
     """
     bits = as_bits(x, model.dim)
-    on = np.flatnonzero(bits)
-    exact = model.offset
-    cells = 0
-    noise = 0.0
-    gen = _as_rng(rng) if model.noise_sigma > 0 else None
-    for part in model.parts:
-        sub = part.planes[:, on][:, :, on]
-        counts = sub.reshape(part.bits, -1).sum(axis=1).astype(np.int64)
-        exact += part.sign * int((counts << np.arange(part.bits, dtype=np.int64)).sum())
-        cells += int(counts.sum())
-        if gen is not None:
-            for b, cnt in enumerate(counts.tolist()):
-                if cnt:
-                    eta = gen.standard_normal(cnt).sum() * model.noise_sigma
-                    noise += part.sign * float(1 << b) * eta
-    return EnergyReading(value=float(exact) + noise, exact_value=int(exact), activated_cells=cells)
+    stack, scale = model._read_stack
+    # per-plane row sums are at most dim <= 8192 < 2^24, exact in float32
+    rows = stack @ bits.astype(np.float32)
+    counts = rows.reshape(scale.size, model.dim).astype(np.int64) @ bits.astype(np.int64)
+    exact = model.offset + int(counts @ scale)
+    value = float(exact)
+    if model.noise_sigma > 0:
+        eta = _as_rng(rng).standard_normal(scale.size) * np.sqrt(counts)
+        value += model.noise_sigma * float(eta @ scale)
+    return EnergyReading(value=value, exact_value=exact, activated_cells=int(counts.sum()))
 
 
 def linearity_sweep(model: CrossbarModel, max_cells: int, rng=None) -> list[tuple[int, float]]:

@@ -13,11 +13,12 @@ read noiselessly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SamplingError, ValidationError
-from .qkp import QkpInstance, as_bits
+from .qkp import QkpInstance, _as_rng, as_bits
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,11 @@ class WeightPlane:
     def columns(self) -> int:
         return self.cells.shape[1]
 
-    @property
+    @cached_property
     def column_weights(self) -> np.ndarray:
-        return self.cells.sum(axis=0)
+        weights = self.cells.sum(axis=0)
+        weights.setflags(write=False)
+        return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +103,6 @@ class FilterDecision:
     working_ml: float
     replica_ml: float
     feasible: bool
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def decompose_weights(weights, config: FilterConfig = FilterConfig()) -> WeightPlane:
@@ -181,15 +178,16 @@ def evaluate_ml(plane: WeightPlane, x, config: FilterConfig, rng=None) -> float:
 
     With noise enabled every unit conduction event drops unit_drop * (1 + eta)
     with eta ~ N(0, noise_sigma); the number of events equals the selected
-    weight sum.
+    weight sum wsum, so the events' perturbations add up to one Gaussian draw
+    scaled by noise_sigma * sqrt(wsum).
     """
     if config.unit_drop is None:
         raise ConfigurationError("unit_drop is unresolved; build the model or set it explicitly")
-    bits = as_bits(x, plane.columns).astype(np.int64)
+    bits = as_bits(x, plane.columns)
     wsum = int(plane.column_weights @ bits)
     drop = config.unit_drop * float(wsum)
     if config.noise_sigma > 0 and wsum > 0:
-        eta = _as_rng(rng).standard_normal(wsum).sum() * config.noise_sigma
+        eta = _as_rng(rng).standard_normal() * config.noise_sigma * np.sqrt(wsum)
         drop += config.unit_drop * float(eta)
     return max(0.0, config.vdd - drop)
 

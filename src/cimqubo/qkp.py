@@ -17,7 +17,7 @@ TEXT_FORMAT = "canonical-text"
 JSON_FORMAT = "json"
 
 ORACLE_MAX_ITEMS = 24
-_ENUM_CHUNK = 1 << 18
+_ENUM_CHUNK = 1 << 15  # configurations scored at once: about 5 MiB per float64 temporary at n = 20
 
 
 def as_bits(x, n: int | None = None) -> np.ndarray:
@@ -27,9 +27,16 @@ def as_bits(x, n: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a 1-d bit vector, got shape {bits.shape}")
     if n is not None and bits.shape[0] != n:
         raise DimensionError(f"bit vector has length {bits.shape[0]}, expected {n}")
-    if bits.size and (np.min(bits) < 0 or np.max(bits) > 1):
+    # one reduction: negative int8 entries read as 128 and above when unsigned
+    if bits.size and bits.view(np.uint8).max() > 1:
         raise ValidationError("bits", "entries must be 0 or 1")
     return bits
+
+
+def _as_rng(rng) -> np.random.Generator:
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(rng)
 
 
 def _as_int_array(values, fieldname: str) -> np.ndarray:

@@ -31,6 +31,12 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _SPARSE_THRESHOLD = 0.25
 
 
+def _exact_sum(a: np.ndarray) -> int:
+    """Sum of a uint64 array as a Python int: the 32-bit halves of each entry
+    are summed separately, so neither uint64 sum can wrap below 2^32 entries."""
+    return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
+
+
 @dataclass(frozen=True, eq=False)
 class QuboMatrix:
     """Square integer coefficient matrix plus a constant offset."""
@@ -47,7 +53,8 @@ class QuboMatrix:
             if not np.array_equal(rounded, q):
                 raise ValidationError("q", "entries must be integers")
             q = rounded
-        q = q.astype(np.int64)
+        # keep a frozen int64 array that owns its data, copy anything else
+        q = q.astype(np.int64, copy=q.flags.writeable or not q.flags.owndata)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "offset", int(self.offset))
@@ -59,6 +66,12 @@ class QuboMatrix:
     def energy(self, x) -> int:
         bits = as_bits(x, self.dim).astype(np.int64)
         return int(bits @ self.q @ bits) + self.offset
+
+    def energy_bound(self) -> int:
+        """sum_ij |q_ij| + |offset|, exactly.  No energy, and no difference of
+        two energies, exceeds it in magnitude."""
+        # as uint64, |-2^63| wraps back to 2^63
+        return _exact_sum(np.abs(self.q).view(np.uint64)) + abs(self.offset)
 
     def __eq__(self, other):
         if not isinstance(other, QuboMatrix):
@@ -156,17 +169,16 @@ def build_dqubo(instance: QkpInstance, alpha: int = 2, beta: int = 2) -> DQuboMo
         raise ValidationError("beta", f"must be >= 1, got {beta}")
     n, C = instance.n, instance.capacity
     dim = n + C
-    wmax = int(instance.weights.max())
-    pmax = int(instance.profits.max())
-    worst = max(
-        beta * C * C + alpha,
-        2 * alpha + 2 * beta * C * C,
-        2 * beta * wmax * C,
-        2 * beta * wmax * wmax + 2 * pmax,
-    )
-    if worst > _INT64_MAX:
+    # Term by term, |coefficients| of -profits, beta (w.x - sum k y_k)^2 and
+    # alpha (sum y_k - 1)^2 sum to at most the bound below, offset included.
+    # Below 2^63 neither an energy nor a kept coefficient can wrap; the
+    # diagonals that are discarded or overwritten below may, harmlessly.
+    wtot = sum(instance.weights.tolist())
+    bound = (_exact_sum(instance.profits.view(np.uint64))
+             + beta * (wtot + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
+    if bound > _INT64_MAX:
         raise OverflowError(
-            f"penalty coefficients up to {worst} overflow 64-bit storage (capacity {C})"
+            f"penalty energies up to {bound} overflow 64-bit arithmetic (capacity {C})"
         )
     if dim > _DQUBO_DIM_LIMIT:
         raise CapacityError(
@@ -179,11 +191,14 @@ def build_dqubo(instance: QkpInstance, alpha: int = 2, beta: int = 2) -> DQuboMo
     idx = np.arange(n)
     q[idx, idx] = beta * w * w - np.diagonal(instance.profits)
     k = np.arange(1, C + 1, dtype=np.int64)
-    yb = 2 * alpha + 2 * beta * np.outer(k, k)
-    q[n:, n:] = np.triu(yb, k=1)
+    yb = q[n:, n:]  # built in place: this block dominates memory at large capacity
+    np.multiply.outer(2 * beta * k, k, out=yb)
+    yb += 2 * alpha
+    yb[np.tri(C, dtype=bool)] = 0
     idy = np.arange(n, dim)
     q[idy, idy] = beta * k * k - alpha
     q[:n, n:] = -2 * beta * np.outer(w, k)
+    q.setflags(write=False)  # QuboMatrix keeps it without a copy
     return DQuboModel(
         qubo=QuboMatrix(q, offset=alpha),
         alpha=int(alpha),
@@ -207,7 +222,7 @@ def quantization_info(q) -> QuantizationInfo:
 
     Accepts a QuboMatrix or a plain integer array."""
     arr = q.q if isinstance(q, QuboMatrix) else np.asarray(q)
-    max_abs = int(np.abs(arr).max()) if arr.size else 0
+    max_abs = max(int(arr.max()), -int(arr.min())) if arr.size else 0
     bits = 1 if max_abs <= 1 else (max_abs - 1).bit_length()
     return QuantizationInfo(max_abs_element=max_abs, bits=bits)
 

@@ -5,6 +5,8 @@ the mathematical definitions, so test expectations never route through
 the vectorized production code they are checking.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,30 @@ def ref_enumerate(profits, weights, capacity):
                 best_v = v
                 best_x = x
     return best_v, best_x, feasible
+
+
+def ref_records_digest(records):
+    """sha256 over each record's (seed, mode, best_energy, best_qkp_value,
+    filter_rejections, evaluations) repr and its best configuration bytes."""
+    h = hashlib.sha256()
+    for r in records:
+        fields = (r.seed, r.mode, r.best_energy, r.best_qkp_value,
+                  r.filter_rejections, r.evaluations)
+        h.update(repr(fields).encode())
+        h.update(np.asarray(r.best_config, dtype=np.int8).tobytes())
+    return h.hexdigest()
+
+
+def ref_run_seed(master, i, r):
+    """Seed of run r from initial i, as batch_solve derives it."""
+    ss = np.random.SeedSequence(master, spawn_key=(1, i, r))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def ref_initials(master, num_initials, dim):
+    """The initial configurations batch_solve draws from master."""
+    rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(0,)))
+    return rng.integers(0, 2, size=(num_initials, dim), dtype=np.int8)
 
 
 def make_instance(profits, weights, capacity, name="test"):

@@ -123,6 +123,36 @@ def test_noise_scales_with_plane_weight():
     assert 6.5 < ratio < 9.5   # one cell on plane 3 reads 8x the unit noise
 
 
+def ref_plane_variance(q, x):
+    """sum over both sign stacks and planes b of 4^b times the number of
+    conducting cells (x_i = x_j = 1 and bit b of |q_ij| set)."""
+    n = len(x)
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            if x[i] and x[j]:
+                mag, b = abs(int(q[i][j])), 0
+                while mag:
+                    total += (mag & 1) * 4**b
+                    mag >>= 1
+                    b += 1
+    return total
+
+
+def test_noisy_read_variance_follows_plane_weights():
+    q = QuboMatrix(np.array([[5, -3, 7], [0, -12, 2], [9, 1, -6]]), offset=3)
+    x = [1, 1, 1]
+    sigma = 0.05
+    model = program_crossbar(q, noise_sigma=sigma)
+    rng = np.random.default_rng(21)
+    errors = np.array([r.value - r.exact_value
+                       for r in (vmv_energy(model, x, rng) for _ in range(4000))])
+    want = sigma**2 * ref_plane_variance(q.q, x)
+    assert abs(errors.mean()) < 4 * np.sqrt(want / 4000)
+    # the sample variance of 4000 normal draws is within 10 % with overwhelming odds
+    assert errors.var() == pytest.approx(want, rel=0.1)
+
+
 # ------------------------------------------------------- linearity
 
 def test_linearity_sweep_noiseless_is_identity():

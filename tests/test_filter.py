@@ -189,6 +189,17 @@ def test_noise_is_reproducible_and_unbiased():
     assert abs(np.mean(samples) - ideal) < tol
 
 
+def test_matchline_noise_variance_scales_with_weight_sum():
+    sigma = 0.05
+    model = build_filter([4, 7, 2], 9, FilterConfig(noise_sigma=sigma))
+    rng = np.random.default_rng(13)
+    for x, wsum in (([1, 1, 1], 13), ([0, 1, 0], 7)):
+        samples = np.array([evaluate_ml(model.working, x, model.config, rng) for _ in range(4000)])
+        assert samples.min() > 0   # never clamped, so the variance is the noise's
+        want = (model.config.unit_drop * sigma) ** 2 * wsum
+        assert samples.var() == pytest.approx(want, rel=0.1)
+
+
 def test_noise_flips_boundary_decisions():
     cfg = FilterConfig(noise_sigma=0.5)
     model = build_filter([4, 7, 2], 9, cfg)

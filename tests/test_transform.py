@@ -149,6 +149,29 @@ def test_dqubo_overflow_guard():
         build_dqubo(inst)
 
 
+def test_dqubo_energy_sum_guard():
+    # every coefficient fits in 64 bits (the largest is 2 beta * 3 * 4 = 2.4e18),
+    # but the all-slack energy 9 alpha + 100 beta = 1e19 would wrap
+    inst = make_instance([[1, 0], [0, 1]], [1, 1], 4)
+    with pytest.raises(OverflowError, match="energies"):
+        build_dqubo(inst, beta=10**17)
+    assert build_dqubo(inst, beta=10**16).qubo.energy_bound() < 2**63
+
+
+def test_energy_bound_sums_absolute_coefficients():
+    inst = generate_instance(8, density=0.6, wmax=15, pmax=40, seed=12)
+    model = build_dqubo(inst, alpha=3, beta=5)
+    q = model.qubo.q.tolist()
+    exact = sum(abs(v) for row in q for v in row) + model.qubo.offset
+    assert model.qubo.energy_bound() == exact
+
+
+def test_energy_bound_is_exact_past_64_bits():
+    top = 2**63 - 1
+    q = QuboMatrix(np.array([[top, -top], [-(2**63), top]], dtype=np.int64), offset=-5)
+    assert q.energy_bound() == 3 * top + 2**63 + 5
+
+
 def test_dqubo_dimension_guard():
     inst = make_instance([[1, 0], [0, 1]], [1, 1], 9000)
     with pytest.raises(CapacityError, match="dimension"):
