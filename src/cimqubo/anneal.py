@@ -47,6 +47,8 @@ _BLOCK_DRAWS = 1 << 20
 # The vectorized Metropolis test compares int64 energy changes with float64
 # thresholds, which is exact only for magnitudes up to 2^53.
 _ENERGY_LIMIT = 1 << 53
+# t_end / t_start of the default schedule, also used when only t_start is given
+COOLING_RATIO = 0.5
 # delta = 1 - 2 x_j looked up by x_j: +1 when a flip switches bit j on, -1 when off
 _FLIP_SIGN = np.array([1, -1])
 
@@ -93,7 +95,7 @@ def default_schedule(problem: InequalityQuboModel | DQuboModel, iterations: int 
     exp(-1.75) at the start and exp(-3.5) at the end.
     """
     t_start = max(flip_scale(problem) / 3.5, 1.0)
-    return AnnealSchedule(iterations=iterations, t_start=t_start, t_end=0.5 * t_start)
+    return AnnealSchedule(iterations=iterations, t_start=t_start, t_end=COOLING_RATIO * t_start)
 
 
 @dataclass(eq=False)

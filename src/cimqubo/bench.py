@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .anneal import MODE_DQUBO, MODE_HYCIM, AnnealSchedule, batch_solve, default_schedule
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
 from .qkp import ORACLE_MAX_ITEMS, QkpInstance, brute_force_oracle, qkp_weight
-from .transform import build_dqubo, build_inequality_qubo, quantization_info
+from .transform import build_dqubo, build_inequality_qubo, dqubo_quantization_info, quantization_info
 
 
 @dataclass(frozen=True)
@@ -35,23 +35,6 @@ class OverheadReport:
     search_space_reduction_exponent: int
 
 
-def _dqubo_max_abs(instance: QkpInstance, alpha: int, beta: int) -> int:
-    """Largest penalty coefficient magnitude, computed blockwise with Python
-    ints so it works past the dense-matrix and int64 limits."""
-    w = [int(v) for v in instance.weights]
-    p = instance.profits
-    cap = instance.capacity
-    xb = 0
-    for i in range(instance.n):
-        xb = max(xb, abs(beta * w[i] * w[i] - int(p[i, i])))
-        for j in range(i + 1, instance.n):
-            xb = max(xb, abs(2 * beta * w[i] * w[j] - 2 * int(p[i, j])))
-    ypair = 2 * alpha + 2 * beta * cap * (cap - 1) if cap >= 2 else 0
-    ydiag = max(abs(beta * k * k - alpha) for k in (1, cap))
-    cross = 2 * beta * max(w) * cap
-    return max(xb, ypair, ydiag, cross)
-
-
 def overhead_report(
     instance: QkpInstance,
     alpha: int = 2,
@@ -61,7 +44,7 @@ def overhead_report(
     """Compare programmed-cell budgets of the two formulations.
 
     When the penalty matrix is too large to materialize its bit depth is still
-    exact, computed blockwise from the coefficient formulas."""
+    exact, computed from the coefficient formulas."""
     cfg = filter_config or FilterConfig()
     n = instance.n
     ineq = build_inequality_qubo(instance)
@@ -72,8 +55,7 @@ def overhead_report(
         dq = build_dqubo(instance, alpha, beta)
         dbits = quantization_info(dq.qubo.q).bits
     except (OverflowError, CapacityError):
-        worst = _dqubo_max_abs(instance, alpha, beta)
-        dbits = 1 if worst <= 1 else int(worst - 1).bit_length()
+        dbits = dqubo_quantization_info(instance, alpha, beta).bits
     dcells = dqubo_dim * dqubo_dim * dbits
     saving = 1.0 - hycim_cells / dcells
     return OverheadReport(
@@ -211,6 +193,8 @@ def filter_study(
 ) -> FilterStudy:
     """Per-configuration matchline detail over a balanced feasible/infeasible
     sample, plus the aggregate classification accuracy."""
+    if num_samples < 2:
+        raise ValidationError("num_samples", f"must be >= 2, got {num_samples}")
     cfg = config or FilterConfig()
     model = build_filter(instance.weights, instance.capacity, cfg)
     nf = num_samples // 2
@@ -262,7 +246,7 @@ def filter_suite(
         sub_seed = int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1, np.uint64)[0])
         study = filter_study(inst, configs_per_instance, config=config, seed=sub_seed)
         cases.extend(study.cases)
-        correct += round(study.accuracy * study.num_cases)
+        correct += sum(case.predicted == case.actual for case in study.cases)
     return FilterStudy(
         instance=f"suite[{len(instances)}]",
         num_cases=len(cases),
@@ -271,10 +255,6 @@ def filter_suite(
         seed=seed,
         cases=cases,
     )
-
-
-def report_filename(instance: str, kind: str, seed: int, ext: str) -> str:
-    return f"{instance}_{kind}_s{seed}.{ext}"
 
 
 def _write_csv(path, header, rows, meta):
@@ -320,26 +300,14 @@ def write_filter_csv(study: FilterStudy, path, meta: dict | None = None) -> None
 
 
 def _as_jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_report_json(report, path) -> None:
-    """Serialize any of the report dataclasses; nested case lists included."""
-    from dataclasses import asdict
-
-    payload = asdict(report)
-
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [clean(v) for v in obj]
-        return _as_jsonable(obj)
-
+    """Serialize one report dataclass, or a list of them; nested case lists included."""
+    payload = [asdict(r) for r in report] if isinstance(report, list) else asdict(report)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(clean(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_as_jsonable)
         fh.write("\n")

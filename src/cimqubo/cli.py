@@ -8,8 +8,6 @@ named by the CIMQUBO_INSTANCES environment variable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 
@@ -17,6 +15,7 @@ from . import __version__
 from .anneal import (
     BACKEND_CIM,
     BACKEND_EXACT,
+    COOLING_RATIO,
     MODE_DQUBO,
     MODE_HYCIM,
     AnnealSchedule,
@@ -97,10 +96,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_transform_mode(mode: str) -> str:
-    return {"ineq": MODE_HYCIM, "dqubo": MODE_DQUBO}[mode]
-
-
 def _cmd_transform(args) -> int:
     _echo_settings("transform", mode=args.mode, alpha=args.alpha, beta=args.beta)
     inst = _load(args.instance)
@@ -132,7 +127,7 @@ def _schedule_from_args(args, problem):
     if args.t_start is None and args.t_end is None:
         return base
     t_start = args.t_start if args.t_start is not None else base.t_start
-    t_end = args.t_end if args.t_end is not None else 0.01 * t_start
+    t_end = args.t_end if args.t_end is not None else COOLING_RATIO * t_start
     return AnnealSchedule(iterations=args.iterations, t_start=t_start, t_end=t_end)
 
 
@@ -248,13 +243,7 @@ def _cmd_bench(args) -> int:
                 "alpha": args.alpha, "beta": args.beta}
         write_success_csv(reports, args.report, meta)
     if args.json:
-        if len(reports) == 1:
-            write_report_json(reports[0], args.json)
-        else:
-            payload = [dataclasses.asdict(r) for r in reports]
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        write_report_json(reports[0] if len(reports) == 1 else reports, args.json)
     return 0
 
 

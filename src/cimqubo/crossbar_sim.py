@@ -45,16 +45,9 @@ class SignedPlanes:
 class CrossbarModel:
     dim: int
     bits: int
-    sign: int  # -1 or +1 when single-signed, 0 when split into two stacks
-    parts: tuple[SignedPlanes, ...]
+    parts: tuple[SignedPlanes, ...]  # the positive stack first, then the negative one
     offset: int
     noise_sigma: float = 0.0
-
-    @property
-    def planes(self) -> np.ndarray:
-        if len(self.parts) != 1:
-            raise ValidationError("planes", "mixed-sign model stores two stacks; use .parts")
-        return self.parts[0].planes
 
     @cached_property
     def _read_stack(self) -> tuple[np.ndarray, np.ndarray]:
@@ -92,24 +85,15 @@ def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
     if noise_sigma < 0:
         raise ValidationError("noise_sigma", f"must be >= 0, got {noise_sigma}")
     mat = q.q
-    has_pos = bool(np.any(mat > 0))
-    has_neg = bool(np.any(mat < 0))
     parts = []
-    if has_pos and has_neg:
-        sign = 0
+    if np.any(mat > 0):
         parts.append(_plane_stack(np.where(mat > 0, mat, 0), 1))
+    # the zero matrix gets one all-zero negative stack
+    if np.any(mat < 0) or not parts:
         parts.append(_plane_stack(np.where(mat < 0, -mat, 0), -1))
-    elif has_pos:
-        sign = 1
-        parts.append(_plane_stack(mat.copy(), 1))
-    else:
-        # all nonpositive, including the zero matrix
-        sign = -1
-        parts.append(_plane_stack(-mat, -1))
     return CrossbarModel(
         dim=q.dim,
         bits=max(part.bits for part in parts),
-        sign=sign,
         parts=tuple(parts),
         offset=q.offset,
         noise_sigma=float(noise_sigma),

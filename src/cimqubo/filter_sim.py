@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SamplingError, ValidationError
-from .qkp import QkpInstance, _as_rng, as_bits
+from .qkp import _as_rng, as_bits
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,9 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
     """Assemble working and replica planes and resolve the drop per weight unit.
 
     When unit_drop is not set it defaults to vdd / (2 * max(capacity, max w)),
-    placing the replica matchline mid-rail.
+    placing the replica matchline mid-rail.  A replica matchline discharged to
+    zero would tie with every over-weight input, so that raises
+    ConfigurationError.
     """
     w = np.asarray(weights, dtype=np.int64)
     if config.unit_drop is None:
@@ -162,7 +164,12 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
         config = replace(config, unit_drop=config.vdd / (2.0 * scale))
     working = decompose_weights(w, config)
     rep = build_replica(capacity, working.columns, config)
-    replica_ml = max(0.0, config.vdd - config.unit_drop * float(int(capacity)))
+    replica_ml = config.vdd - config.unit_drop * float(int(capacity))
+    if replica_ml <= 0:
+        raise ConfigurationError(
+            f"unit_drop {config.unit_drop} x capacity {capacity} reaches vdd {config.vdd}: "
+            "the replica matchline saturates at zero"
+        )
     return FilterModel(
         working=working,
         replica=rep,
@@ -246,18 +253,3 @@ def sample_balanced_configs(
     configs = np.array(feas + infeas, dtype=np.int8)
     labels = np.array([True] * num_feasible + [False] * num_infeasible)
     return configs, labels
-
-
-def classification_accuracy(model: FilterModel, instance: QkpInstance, num_samples: int, seed: int = 0) -> float:
-    """Fraction of balanced samples the filter labels like the exact inequality."""
-    if num_samples < 2:
-        raise ValidationError("num_samples", f"must be >= 2, got {num_samples}")
-    nf = num_samples // 2
-    ni = num_samples - nf
-    configs, labels = sample_balanced_configs(instance.weights, instance.capacity, nf, ni, seed)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    hits = 0
-    for cfg, actual in zip(configs, labels.tolist()):
-        if filter_check(model, cfg, rng).feasible == actual:
-            hits += 1
-    return hits / num_samples

@@ -17,6 +17,7 @@ TEXT_FORMAT = "canonical-text"
 JSON_FORMAT = "json"
 
 ORACLE_MAX_ITEMS = 24
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here
 _ENUM_CHUNK = 1 << 15  # configurations scored at once: about 5 MiB per float64 temporary at n = 20
 
 
@@ -92,11 +93,6 @@ class QkpInstance:
     @property
     def total_weight(self) -> int:
         return int(self.weights.sum())
-
-    @property
-    def vacuous_constraint(self) -> bool:
-        """True when capacity >= total weight, so the knapsack bound never binds."""
-        return self.capacity >= self.total_weight
 
     def __eq__(self, other):
         if not isinstance(other, QkpInstance):
@@ -341,13 +337,18 @@ def brute_force_oracle(instance: QkpInstance) -> OracleResult:
 
     Configuration k maps to bits with item i at bit position i (LSB first),
     and ties are broken toward the smallest such integer k.  Only instances
-    with n <= ORACLE_MAX_ITEMS are accepted.
+    with n <= ORACLE_MAX_ITEMS are accepted.  Scores are float64 sums, exact
+    while the profit and weight totals stay within 2^53; larger totals raise
+    OverflowError.
     """
     n = instance.n
     if n > ORACLE_MAX_ITEMS:
         raise CapacityError(
             f"oracle handles n <= {ORACLE_MAX_ITEMS}, got n = {n}; use the annealer for larger instances"
         )
+    totals = sum(instance.profits.ravel().tolist()), sum(instance.weights.tolist())
+    if max(totals) > _FLOAT_EXACT:
+        raise OverflowError(f"profit and weight totals {totals} exceed 2^53, the float64 exact range")
     total = 1 << n
     shifts = np.arange(n, dtype=np.uint32)
     profits = instance.profits.astype(np.float64)

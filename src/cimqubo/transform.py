@@ -1,4 +1,4 @@
-"""QUBO constructions for the knapsack constraint and Ising conversions.
+"""QUBO constructions for the knapsack constraint.
 
 Two formulations of the same problem:
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ParseError, ValidationError
+from .errors import CapacityError, ParseError, ValidationError
 from .qkp import QkpInstance, as_bits
 
 INEQUALITY_MODE = "inequality"
@@ -77,48 +77,6 @@ class QuboMatrix:
         if not isinstance(other, QuboMatrix):
             return NotImplemented
         return self.offset == other.offset and np.array_equal(self.q, other.q)
-
-
-@dataclass(frozen=True, eq=False)
-class IsingModel:
-    """Spin model H(s) = sum_ij J_ij s_i s_j + sum_i h_i s_i + offset, s in {-1,+1}.
-
-    The coupling matrix is symmetric with zero diagonal and the double sum
-    counts both orderings.  The offset keeps conversions energy-exact.
-    """
-
-    couplings: np.ndarray
-    fields: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        J = np.asarray(self.couplings, dtype=np.float64)
-        h = np.asarray(self.fields, dtype=np.float64)
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise ValidationError("couplings", f"must be square, got shape {J.shape}")
-        if not np.array_equal(J, J.T):
-            raise ValidationError("couplings", "matrix must be symmetric")
-        if np.any(np.diagonal(J) != 0):
-            raise ValidationError("couplings", "diagonal must be zero")
-        if h.shape != (J.shape[0],):
-            raise ValidationError("fields", f"expected {J.shape[0]} entries, got {h.shape}")
-        J.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "couplings", J)
-        object.__setattr__(self, "fields", h)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def n(self) -> int:
-        return self.couplings.shape[0]
-
-    def energy(self, spins) -> float:
-        s = np.asarray(spins, dtype=np.float64)
-        if s.shape != (self.n,):
-            raise DimensionError(f"expected {self.n} spins, got shape {s.shape}")
-        if np.any(np.abs(s) != 1):
-            raise ValidationError("spins", "entries must be -1 or +1")
-        return float(s @ self.couplings @ s + self.fields @ s + self.offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +167,23 @@ def build_dqubo(instance: QkpInstance, alpha: int = 2, beta: int = 2) -> DQuboMo
     )
 
 
+def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> QuantizationInfo:
+    """quantization_info of build_dqubo(instance, alpha, beta).qubo, from the
+    coefficient formulas alone.  Python ints keep it exact past the build's
+    dimension and 64-bit limits."""
+    C = instance.capacity
+    w = np.array(instance.weights.tolist(), dtype=object)
+    p = np.array(instance.profits.tolist(), dtype=object)
+    xb = 2 * beta * np.outer(w, w) - 2 * p
+    np.fill_diagonal(xb, beta * w * w - np.diagonal(p))
+    ypair = 2 * alpha + 2 * beta * C * (C - 1) if C >= 2 else 0
+    # |beta k^2 - alpha| peaks at k = 1 or k = C, and for C >= 2 the k = 1
+    # value |beta - alpha| stays below ypair
+    ydiag = abs(beta * C * C - alpha)
+    cross = 2 * beta * max(instance.weights.tolist()) * C
+    return _quantization(max(int(np.abs(xb).max()), ypair, ydiag, cross))
+
+
 def constrained_energy(model: InequalityQuboModel, x) -> int:
     """Energy (w.x <= C) * x^T q x; zero whenever the configuration is over weight."""
     bits = as_bits(x, model.qubo.dim).astype(np.int64)
@@ -217,41 +192,17 @@ def constrained_energy(model: InequalityQuboModel, x) -> int:
     return int(bits @ model.qubo.q @ bits) + model.qubo.offset
 
 
+def _quantization(max_abs: int) -> QuantizationInfo:
+    bits = 1 if max_abs <= 1 else (max_abs - 1).bit_length()
+    return QuantizationInfo(max_abs_element=max_abs, bits=bits)
+
+
 def quantization_info(q) -> QuantizationInfo:
     """Bit width ceil(log2(max |q_ij|)) needed to quantize the matrix, minimum 1.
 
     Accepts a QuboMatrix or a plain integer array."""
     arr = q.q if isinstance(q, QuboMatrix) else np.asarray(q)
-    max_abs = max(int(arr.max()), -int(arr.min())) if arr.size else 0
-    bits = 1 if max_abs <= 1 else (max_abs - 1).bit_length()
-    return QuantizationInfo(max_abs_element=max_abs, bits=bits)
-
-
-def ising_to_qubo(model: IsingModel) -> QuboMatrix:
-    """Substitute s = 1 - 2x; exact for every assignment including the offset."""
-    J = model.couplings
-    h = model.fields
-    n = model.n
-    q = 4.0 * J
-    row = J.sum(axis=1)
-    q[np.arange(n), np.arange(n)] = -4.0 * row - 2.0 * h
-    offset = float(J.sum() + h.sum() + model.offset)
-    if not np.array_equal(np.rint(q), q) or offset != round(offset):
-        raise ValidationError("couplings", "conversion requires integer-valued QUBO coefficients")
-    return QuboMatrix(q.astype(np.int64), offset=int(offset))
-
-
-def qubo_to_ising(q: QuboMatrix) -> IsingModel:
-    """Substitute x = (1 - s) / 2; the inverse of ising_to_qubo."""
-    Q = q.q.astype(np.float64)
-    n = q.dim
-    pair = Q + Q.T
-    np.fill_diagonal(pair, 0.0)
-    J = pair / 8.0
-    diag = np.diagonal(Q).astype(np.float64)
-    h = -diag / 2.0 - pair.sum(axis=1) / 4.0
-    offset = float(pair.sum() / 8.0 + diag.sum() / 2.0 + q.offset)
-    return IsingModel(couplings=J, fields=h, offset=offset)
+    return _quantization(max(int(arr.max()), -int(arr.min())) if arr.size else 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,11 +9,11 @@ from cimqubo import (
     AnnealSchedule,
     ConfigurationError,
     FilterConfig,
+    ValidationError,
     filter_study,
     filter_suite,
     generate_instance,
     overhead_report,
-    report_filename,
     success_rate_study,
     write_filter_csv,
     write_overhead_csv,
@@ -70,16 +70,6 @@ def test_overhead_survives_unbuildable_penalty_matrix():
     assert rep.dqubo_bits == (peak - 1).bit_length()
     assert rep.dqubo_cells == 9002 * 9002 * rep.dqubo_bits
     assert rep.search_space_reduction_exponent == 9000
-
-
-def test_overhead_fallback_agrees_with_built_matrix():
-    for seed in range(4):
-        inst = generate_instance(8, density=0.6, wmax=10, pmax=30, seed=seed)
-        small = overhead_report(inst)
-        # same instance, capacity forced past the build limit, then scaled back:
-        # the analytic path must reproduce the built path bit-for-bit
-        assert small.dqubo_cells == small.dqubo_dim ** 2 * small.dqubo_bits
-        assert 0.0 < small.saving_fraction < 1.0
 
 
 def test_overhead_saving_grows_with_capacity():
@@ -168,6 +158,13 @@ def test_filter_study_noiseless_is_perfect(tiny):
             assert case.normalized_ml < 1.0
 
 
+def test_filter_study_needs_two_samples(tiny):
+    # one sample cannot hold both classes; zero would divide by zero
+    for num_samples in (0, 1):
+        with pytest.raises(ValidationError, match="num_samples"):
+            filter_study(tiny, num_samples)
+
+
 def test_filter_study_balances_classes(tiny):
     study = filter_study(tiny, 4, seed=2)
     feasible = sum(1 for c in study.cases if c.actual)
@@ -241,7 +238,3 @@ def test_report_json(tmp_path, tiny):
     assert doc["accuracy"] == 1.0
     assert len(doc["cases"]) == 4
     assert doc["cases"][0]["instance"] == "tiny3"
-
-
-def test_report_filename():
-    assert report_filename("tiny3", "success", 7, "csv") == "tiny3_success_s7.csv"

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from cimqubo import load_instance, parse_instance
-from cimqubo.cli import main
+from cimqubo import build_inequality_qubo, default_schedule, load_instance, parse_instance
+from cimqubo.cli import _schedule_from_args, build_parser, main
 
 from conftest import make_instance
 
@@ -144,6 +144,15 @@ def test_solve_custom_temperatures(tiny_path, capsys):
     assert code == 0
 
 
+def test_solve_t_start_alone_keeps_the_default_cooling_ratio(tiny_path):
+    args = build_parser().parse_args(["solve", tiny_path, "--iters", "100", "--t-start", "5"])
+    problem = build_inequality_qubo(load_instance(tiny_path))
+    schedule = _schedule_from_args(args, problem)
+    default = default_schedule(problem, 100)
+    assert (schedule.iterations, schedule.t_start) == (100, 5.0)
+    assert schedule.t_end / schedule.t_start == default.t_end / default.t_start
+
+
 # ------------------------------------------------------- filter-eval
 
 def test_filter_eval(tiny_path, tmp_path, capsys):
@@ -212,10 +221,12 @@ def test_bench_directory_mode(tmp_path, capsys):
     (inst_dir / "a.qkp").write_text(TINY_TEXT)
     main(["gen", "--n", "5", "--seed", "4", "-o", str(inst_dir / "b.qkp")])
     capsys.readouterr()
+    out = tmp_path / "bench.json"
     code = main(["bench", "--dir", str(inst_dir), "--initials", "1",
-                 "--runs", "1", "--iters", "200"])
+                 "--runs", "1", "--iters", "200", "--json", str(out)])
     assert code == 0
     assert capsys.readouterr().out.count("optimum=") == 2
+    assert [doc["instance"] for doc in json.loads(out.read_text())] == ["tiny3", "gen_n5_s4"]
 
 
 def test_bench_requires_instances(capsys):

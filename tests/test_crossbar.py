@@ -21,10 +21,9 @@ def q2():
 
 def test_program_single_signed_matrix():
     model = program_crossbar(q2())
-    assert model.sign == -1
     assert model.bits == 3
-    assert len(model.parts) == 1
-    planes = model.planes
+    assert [p.sign for p in model.parts] == [-1]
+    planes = model.parts[0].planes
     assert planes[0].tolist() == [[1, 0], [0, 1]]   # LSB of 5, 2, 2, 3
     assert planes[1].tolist() == [[0, 1], [1, 1]]
     assert planes[2].tolist() == [[1, 0], [0, 0]]
@@ -38,17 +37,14 @@ def test_reconstruct_is_exact():
 def test_program_mixed_sign_splits_stacks():
     q = QuboMatrix(np.array([[3, -2], [0, 5]]), offset=4)
     model = program_crossbar(q)
-    assert model.sign == 0
-    assert len(model.parts) == 2
-    assert {p.sign for p in model.parts} == {-1, 1}
+    assert [p.sign for p in model.parts] == [1, -1]
     assert model.reconstruct() == q
-    with pytest.raises(ValidationError, match="two stacks"):
-        model.planes
 
 
 def test_program_zero_matrix():
     model = program_crossbar(QuboMatrix(np.zeros((3, 3), dtype=np.int64)))
     assert model.bits == 1
+    assert [p.sign for p in model.parts] == [-1]
     assert model.reconstruct().q.tolist() == np.zeros((3, 3)).tolist()
 
 

@@ -7,15 +7,16 @@ import pytest
 
 from cimqubo import (
     CapacityError,
+    ConfigurationError,
     FilterConfig,
     SamplingError,
     ValidationError,
     build_filter,
     build_replica,
-    classification_accuracy,
     decompose_weights,
     evaluate_ml,
     filter_check,
+    filter_study,
     generate_instance,
     sample_balanced_configs,
 )
@@ -114,8 +115,19 @@ def test_matchline_linear_drop():
 
 def test_matchline_clamps_at_zero():
     cfg = FilterConfig(unit_drop=1.0)
-    model = build_filter([3, 3], 4, cfg)
-    assert evaluate_ml(model.working, [1, 1], model.config) == 0.0
+    assert evaluate_ml(decompose_weights([3, 3], cfg), [1, 1], cfg) == 0.0
+
+
+def test_saturated_replica_is_rejected():
+    # 0.25 x 9 = 2.25 V discharges the replica to the 0 V clamp, where the
+    # over-weight [1, 1, 0] (11 > 9) would tie with it and pass
+    with pytest.raises(ConfigurationError, match="saturates"):
+        build_filter([4, 7, 2], 9, FilterConfig(unit_drop=0.25))
+    with pytest.raises(ConfigurationError, match="saturates"):
+        build_filter([4, 7, 2], 8, FilterConfig(unit_drop=0.25))
+    model = build_filter([4, 7, 2], 7, FilterConfig(unit_drop=0.25))
+    assert model.replica_ml == pytest.approx(0.25)
+    assert not filter_check(model, [1, 1, 0]).feasible
 
 
 def test_equal_weight_sums_give_equal_voltage():
@@ -210,14 +222,12 @@ def test_noise_flips_boundary_decisions():
 
 def test_noiseless_classification_accuracy_is_exact():
     inst = generate_instance(40, density=0.3, wmax=25, pmax=20, seed=14)
-    model = build_filter(inst.weights, inst.capacity)
-    assert classification_accuracy(model, inst, 100, seed=3) == 1.0
+    assert filter_study(inst, 100, seed=3).accuracy == 1.0
 
 
 def test_heavy_noise_costs_accuracy():
     inst = generate_instance(40, density=0.3, wmax=25, pmax=20, seed=14)
-    noisy = build_filter(inst.weights, inst.capacity, FilterConfig(noise_sigma=0.8))
-    assert classification_accuracy(noisy, inst, 200, seed=3) < 1.0
+    assert filter_study(inst, 200, FilterConfig(noise_sigma=0.8), seed=3).accuracy < 1.0
 
 
 # ------------------------------------------------------- balanced sampling

@@ -1,8 +1,9 @@
-"""Property tests of the lockstep annealer on random small instances."""
+"""Property tests of the lockstep annealer and the penalty coefficient
+formulas on random small instances."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cimqubo import (
@@ -11,6 +12,8 @@ from cimqubo import (
     batch_solve,
     build_dqubo,
     build_inequality_qubo,
+    dqubo_quantization_info,
+    quantization_info,
     sa_run,
 )
 
@@ -63,3 +66,12 @@ def test_noiseless_array_backend_equals_exact(inst, mode, master):
                    record_trajectory=True)
             for backend in ("exact-software", "behavioral-cim")]
     assert runs[0] == runs[1]
+
+
+@common
+@given(inst=instances(), alpha=st.integers(1, 300), beta=st.integers(1, 20))
+# n = 1 and C = 1 with alpha > beta: the slack diagonal |beta - alpha| is the peak
+@example(inst=make_instance([[0]], [1], 1, name="one"), alpha=50, beta=1)
+def test_dqubo_closed_form_quantization_matches_built_matrix(inst, alpha, beta):
+    built = quantization_info(build_dqubo(inst, alpha, beta).qubo)
+    assert dqubo_quantization_info(inst, alpha, beta) == built

@@ -1,0 +1,29 @@
+"""The package's public surface: every exported name resolves, once."""
+
+import cimqubo
+from cimqubo import bench, cli, crossbar_sim, filter_sim, qkp, transform
+
+REMOVED = {
+    "IsingModel", "ising_to_qubo", "qubo_to_ising", "classification_accuracy",
+    "report_filename", "_parse_transform_mode", "_dqubo_max_abs",
+}
+
+
+def test_all_names_are_unique_and_resolve():
+    assert len(cimqubo.__all__) == len(set(cimqubo.__all__))
+    for name in cimqubo.__all__:
+        assert hasattr(cimqubo, name), name
+
+
+def test_load_qubo_json_return_type_is_exported():
+    assert cimqubo.QuboDocument is transform.QuboDocument
+    assert "QuboDocument" in cimqubo.__all__
+
+
+def test_removed_names_are_gone():
+    assert not REMOVED & set(cimqubo.__all__)
+    for module in (cimqubo, bench, cli, crossbar_sim, filter_sim, qkp, transform):
+        assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
+    assert not hasattr(qkp.QkpInstance, "vacuous_constraint")
+    assert "sign" not in crossbar_sim.CrossbarModel.__dataclass_fields__
+    assert not hasattr(crossbar_sim.CrossbarModel, "planes")

@@ -1,4 +1,4 @@
-"""QUBO builds, penalty expansion, Ising conversion, JSON serialization."""
+"""QUBO builds, penalty expansion, JSON serialization."""
 
 import itertools
 
@@ -7,7 +7,6 @@ import pytest
 
 from cimqubo import (
     CapacityError,
-    IsingModel,
     ParseError,
     QuboMatrix,
     ValidationError,
@@ -16,11 +15,9 @@ from cimqubo import (
     constrained_energy,
     dump_qubo_json,
     generate_instance,
-    ising_to_qubo,
     load_qubo_json,
     qkp_objective,
     quantization_info,
-    qubo_to_ising,
 )
 
 from conftest import make_instance, ref_dqubo_energy, ref_objective
@@ -210,77 +207,6 @@ def test_dqubo_peak_coefficient_formula(tiny):
     info = quantization_info(build_dqubo(tiny, alpha=2, beta=2).qubo)
     C = tiny.capacity
     assert info.max_abs_element == 2 * 2 + 2 * 2 * C * (C - 1)
-
-
-# ------------------------------------------------------- ising conversion
-
-def test_single_variable_field_conversion():
-    model = IsingModel(couplings=np.zeros((1, 1)), fields=np.array([1.0]))
-    q = ising_to_qubo(model)
-    assert q.q.tolist() == [[-2]]
-    assert q.offset == 1
-    assert q.energy([0]) == model.energy([1]) == 1
-    assert q.energy([1]) == model.energy([-1]) == -1
-
-
-def test_two_spin_coupling_conversion():
-    model = IsingModel(couplings=np.array([[0.0, 1.0], [1.0, 0.0]]), fields=np.zeros(2))
-    q = ising_to_qubo(model)
-    for x1, x2 in itertools.product((0, 1), repeat=2):
-        s = [1 - 2 * x1, 1 - 2 * x2]
-        assert q.energy([x1, x2]) == model.energy(s)
-
-
-def test_round_trip_qubo_ising_qubo_is_exact():
-    # integrality of the return trip needs even pair sums q_ij + q_ji, which
-    # every matrix this package builds satisfies; symmetric bases model that
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        n = int(rng.integers(1, 8))
-        base = rng.integers(-9, 10, size=(n, n))
-        sym = base + base.T
-        np.fill_diagonal(sym, rng.integers(-9, 10, size=n))
-        q = QuboMatrix(sym, offset=int(rng.integers(-5, 6)))
-        back = ising_to_qubo(qubo_to_ising(q))
-        assert back == q
-        for bits in itertools.product((0, 1), repeat=n):
-            assert back.energy(bits) == q.energy(bits)
-
-
-def test_round_trip_preserves_dqubo_energies(tiny):
-    # upper-triangular penalty matrices symmetrize on the way back, same energies
-    q = build_dqubo(tiny).qubo
-    back = ising_to_qubo(qubo_to_ising(q))
-    rng = np.random.default_rng(3)
-    for _ in range(60):
-        bits = rng.integers(0, 2, size=q.dim).tolist()
-        assert back.energy(bits) == q.energy(bits)
-
-
-def test_qubo_to_ising_energy_equality(tiny):
-    q = build_inequality_qubo(tiny).qubo
-    model = qubo_to_ising(q)
-    for bits in itertools.product((0, 1), repeat=3):
-        spins = [1 - 2 * b for b in bits]
-        assert model.energy(spins) == pytest.approx(q.energy(bits))
-
-
-def test_ising_rejects_fractional_qubo_targets():
-    model = IsingModel(couplings=np.array([[0.0, 0.1], [0.1, 0.0]]), fields=np.zeros(2))
-    with pytest.raises(ValidationError, match="integer"):
-        ising_to_qubo(model)
-
-
-def test_ising_validation():
-    with pytest.raises(ValidationError, match="symmetric"):
-        IsingModel(couplings=np.array([[0.0, 1.0], [2.0, 0.0]]), fields=np.zeros(2))
-    with pytest.raises(ValidationError, match="diagonal"):
-        IsingModel(couplings=np.eye(2), fields=np.zeros(2))
-    with pytest.raises(ValidationError, match="fields"):
-        IsingModel(couplings=np.zeros((2, 2)), fields=np.zeros(3))
-    good = IsingModel(couplings=np.zeros((2, 2)), fields=np.ones(2))
-    with pytest.raises(ValidationError, match="spins"):
-        good.energy([1, 0])
 
 
 def test_qubo_matrix_validation():
