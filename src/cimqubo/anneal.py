@@ -178,7 +178,7 @@ def _cim_evaluate(ctx, configs, rngs, energies):
         passed = np.array([filter_check(ctx.filter_model, config, rng).feasible
                            for config, rng in zip(configs, rngs)])
     energies = energies.copy()
-    for r in range(len(configs)) if passed is None else np.flatnonzero(passed):
+    for r in range(len(configs)) if passed is None else passed.nonzero()[0]:
         reading = vmv_energy(ctx.crossbar, configs[r], rngs[r])
         energies[r] = reading.value if ctx.crossbar_noisy else reading.exact_value
     return passed, energies

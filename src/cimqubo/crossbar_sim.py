@@ -51,13 +51,21 @@ class CrossbarModel:
 
     @cached_property
     def _read_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every plane of every part stacked as (planes * dim, dim) float32 rows,
-        and each plane's signed weight sign * 2^b."""
-        stack = np.concatenate([part.planes for part in self.parts]).reshape(-1, self.dim)
+        """Row i of every plane of every part as little-endian uint64 words,
+        laid out (dim, words, planes): bit j % 64 of word j // 64 is cell (i, j).
+        Also each plane's signed weight sign * 2^b, in the same plane order."""
+        words = -(-self.dim // 64)
+        packed = np.concatenate(
+            [np.packbits(part.planes, axis=-1, bitorder="little") for part in self.parts]
+        )
+        padded = np.zeros(packed.shape[:2] + (8 * words,), dtype=np.uint8)
+        padded[..., : packed.shape[2]] = packed
+        rows = np.ascontiguousarray(padded.view("<u8").transpose(1, 2, 0))
+        rows.setflags(write=False)
         scale = np.concatenate(
             [part.sign * (1 << np.arange(part.bits, dtype=np.int64)) for part in self.parts]
         )
-        return stack.astype(np.float32), scale
+        return rows, scale
 
     def reconstruct(self) -> QuboMatrix:
         q = np.zeros((self.dim, self.dim), dtype=np.int64)
@@ -104,23 +112,29 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
     """Read the energy of configuration x.
 
     exact_value is the digital reconstruction x^T q x + offset, counted from
-    the conducting cells of every plane.  value adds, per conducting cell, a
+    the conducting cells of every plane: x is packed into the rows' uint64
+    words, the rows with x_i = 1 are ANDed with it, and the popcounts summed
+    per plane are exact integers at any dim.  value adds, per conducting cell, a
     unit-current perturbation eta ~ N(0, noise_sigma) scaled by the cell's
     plane weight.  The count cells of one plane sum to a single
     N(0, count * noise_sigma^2) draw, so a noisy read takes one Gaussian per
     plane.  Noiseless readings satisfy value == exact_value.
     """
     bits = as_bits(x, model.dim)
-    stack, scale = model._read_stack
-    # per-plane row sums are at most dim <= 8192 < 2^24, exact in float32
-    rows = stack @ bits.astype(np.float32)
-    counts = rows.reshape(scale.size, model.dim).astype(np.int64) @ bits.astype(np.int64)
+    rows, scale = model._read_stack
+    # x in the rows' word layout, as a (words, 1) column against the plane axis
+    packed = np.packbits(bits, bitorder="little").tobytes().ljust(8 * rows.shape[1], b"\0")
+    xw = np.ndarray((rows.shape[1], 1), "<u8", packed)
+    # row i contributes only when x_i = 1, and then cell (i, j) only when x_j = 1
+    selected = rows.compress(bits, axis=0)
+    selected &= xw
+    counts = np.bitwise_count(selected).sum(axis=(0, 1), dtype=np.int64)
     exact = model.offset + int(counts @ scale)
     value = float(exact)
     if model.noise_sigma > 0:
         eta = _as_rng(rng).standard_normal(scale.size) * np.sqrt(counts)
         value += model.noise_sigma * float(eta @ scale)
-    return EnergyReading(value=value, exact_value=exact, activated_cells=int(counts.sum()))
+    return EnergyReading(value=value, exact_value=exact, activated_cells=sum(counts.tolist()))
 
 
 def linearity_sweep(model: CrossbarModel, max_cells: int, rng=None) -> list[tuple[int, float]]:

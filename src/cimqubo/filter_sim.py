@@ -12,6 +12,7 @@ read noiselessly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -194,7 +195,7 @@ def evaluate_ml(plane: WeightPlane, x, config: FilterConfig, rng=None) -> float:
     wsum = int(plane.column_weights @ bits)
     drop = config.unit_drop * float(wsum)
     if config.noise_sigma > 0 and wsum > 0:
-        eta = _as_rng(rng).standard_normal() * config.noise_sigma * np.sqrt(wsum)
+        eta = _as_rng(rng).standard_normal() * config.noise_sigma * math.sqrt(wsum)
         drop += config.unit_drop * float(eta)
     return max(0.0, config.vdd - drop)
 

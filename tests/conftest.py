@@ -36,6 +36,26 @@ def ref_qubo_energy(q, x, offset=0):
     return total + offset
 
 
+def ref_plane_counts(q, x):
+    """Conducting cells per bit plane, positive stack then negative stack:
+    cell (i, j) of plane b conducts when x_i = x_j = 1 and bit b of the
+    stack's magnitude (q_ij for the positive stack, -q_ij for the negative
+    one, 0 where q_ij has the other sign) is set."""
+    n = len(x)
+    counts = []
+    for sign in (1, -1):
+        mags = [[max(0, sign * int(q[i][j])) for j in range(n)] for i in range(n)]
+        width = max(m.bit_length() for row in mags for m in row)
+        stack = [0] * width
+        for i in range(n):
+            for j in range(n):
+                if x[i] and x[j]:
+                    for b in range(width):
+                        stack[b] += (mags[i][j] >> b) & 1
+        counts.extend(stack)
+    return counts
+
+
 def ref_dqubo_energy(profits, weights, capacity, x, y, alpha, beta):
     """Unexpanded penalty form: -obj + alpha*(sum y - 1)^2 + beta*(W - sum k*y_k)^2."""
     obj = ref_objective(profits, x)

@@ -109,6 +109,18 @@ def test_noisy_reads_are_seeded_and_unbiased():
     assert abs(samples.mean() + 12.0) < 4 * np.sqrt(6) * 4 * 0.05 / np.sqrt(4000)
 
 
+def test_noisy_read_is_pinned():
+    # 70 columns span two 64-bit words; value is the float this read has always
+    # returned, so the noise stream (one Gaussian per plane) must not change
+    rng = np.random.default_rng(2024)
+    q = QuboMatrix(rng.integers(-40, 41, size=(70, 70)), offset=-17)
+    x = rng.integers(0, 2, size=70)
+    reading = vmv_energy(program_crossbar(q, noise_sigma=0.05), x, rng=np.random.default_rng(11))
+    assert reading.exact_value == 1131 == q.energy(x)
+    assert reading.activated_cells == 2062
+    assert reading.value == 1114.3552313914117
+
+
 def test_noise_scales_with_plane_weight():
     lo = program_crossbar(QuboMatrix(np.array([[1]])), noise_sigma=0.1)
     hi = program_crossbar(QuboMatrix(np.array([[8]])), noise_sigma=0.1)

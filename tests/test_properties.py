@@ -1,5 +1,5 @@
-"""Property tests of the lockstep annealer and the penalty coefficient
-formulas on random small instances."""
+"""Property tests of the lockstep annealer, the penalty coefficient
+formulas and the packed crossbar read on random instances and matrices."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,24 @@ from hypothesis import strategies as st
 from cimqubo import (
     AnnealSchedule,
     FilterConfig,
+    QuboMatrix,
     batch_solve,
     build_dqubo,
     build_inequality_qubo,
     dqubo_quantization_info,
+    program_crossbar,
     quantization_info,
     sa_run,
+    vmv_energy,
 )
 
-from conftest import make_instance, ref_initials, ref_run_seed
+from conftest import (
+    make_instance,
+    ref_initials,
+    ref_plane_counts,
+    ref_qubo_energy,
+    ref_run_seed,
+)
 
 BUILDS = {"hycim": build_inequality_qubo, "dqubo": build_dqubo}
 SCHEDULE = AnnealSchedule(iterations=60, t_start=30.0, t_end=3.0)
@@ -75,3 +84,30 @@ def test_noiseless_array_backend_equals_exact(inst, mode, master):
 def test_dqubo_closed_form_quantization_matches_built_matrix(inst, alpha, beta):
     built = quantization_info(build_dqubo(inst, alpha, beta).qubo)
     assert dqubo_quantization_info(inst, alpha, beta) == built
+
+
+SIGNS = {"mixed": (-1, 1), "positive": (0, 1), "negative": (-1, 0), "zero": (0, 0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 200), signs=st.sampled_from(sorted(SIGNS)),
+       fill=st.sampled_from(["random", "zeros", "ones"]), peak=st.sampled_from([1, 40, 2**20]),
+       seed=st.integers(0, 2**32 - 1))
+# word boundaries: 63, 64 and 65 columns, and one past two full words
+@example(dim=63, signs="mixed", fill="random", peak=40, seed=1)
+@example(dim=64, signs="positive", fill="ones", peak=40, seed=2)
+@example(dim=65, signs="negative", fill="random", peak=2**20, seed=3)
+@example(dim=128, signs="zero", fill="ones", peak=40, seed=4)
+@example(dim=129, signs="mixed", fill="ones", peak=1, seed=5)
+@example(dim=129, signs="mixed", fill="zeros", peak=40, seed=6)
+def test_packed_read_counts_match_plain_loops(dim, signs, fill, peak, seed):
+    rng = np.random.default_rng(seed)
+    low, high = SIGNS[signs]
+    q = QuboMatrix(rng.integers(low * peak, high * peak + 1, size=(dim, dim)),
+                   offset=int(rng.integers(-50, 51)))
+    x = {"random": rng.integers(0, 2, size=dim), "zeros": np.zeros(dim, dtype=int),
+         "ones": np.ones(dim, dtype=int)}[fill]
+    reading = vmv_energy(program_crossbar(q), x)
+    assert reading.exact_value == ref_qubo_energy(q.q.tolist(), x.tolist(), q.offset)
+    assert reading.value == reading.exact_value
+    assert reading.activated_cells == sum(ref_plane_counts(q.q.tolist(), x.tolist()))

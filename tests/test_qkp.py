@@ -5,9 +5,11 @@ import pytest
 
 from cimqubo import (
     CapacityError,
+    DimensionError,
     ParseError,
     QkpInstance,
     ValidationError,
+    as_bits,
     brute_force_oracle,
     dump_instance,
     generate_instance,
@@ -160,6 +162,26 @@ def test_generator_respects_bounds():
     assert np.array_equal(inst.profits, inst.profits.T)
     assert np.all(np.diagonal(inst.profits) >= 1)
     assert inst.capacity == max(1, round(0.5 * inst.total_weight))
+
+
+def test_total_weight_does_not_wrap():
+    inst = QkpInstance("w", 2, np.eye(2, dtype=int), [2**62, 2**62], 1)
+    assert inst.total_weight == 2**63
+
+
+@pytest.mark.parametrize("x", [[0, 2], [-1, 0], [1, 127], np.array([1, 0, -128])])
+def test_as_bits_rejects_entries_other_than_zero_and_one(x):
+    with pytest.raises(ValidationError, match="0 or 1"):
+        as_bits(x)
+
+
+def test_as_bits_checks_shape_and_length():
+    assert as_bits([]).size == 0
+    assert as_bits(np.array([1, 0, 1]), 3).dtype == np.int8
+    with pytest.raises(DimensionError):
+        as_bits([[0, 1]])
+    with pytest.raises(DimensionError):
+        as_bits([0, 1], 3)
 
 
 def test_generator_density_extremes():
