@@ -34,7 +34,7 @@ import numpy as np
 from .crossbar_sim import program_crossbar, vmv_energy
 from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check
-from .qkp import QkpInstance, as_bits
+from .qkp import _FLOAT_EXACT, QkpInstance, as_bits
 from .transform import DQuboModel, InequalityQuboModel, build_dqubo, build_inequality_qubo
 
 MODE_HYCIM = "hycim"
@@ -44,9 +44,6 @@ BACKEND_CIM = "behavioral-cim"
 
 # Pregenerated draws per lockstep block: the flip and gate buffers take 8 MiB each.
 _BLOCK_DRAWS = 1 << 20
-# The vectorized Metropolis test compares int64 energy changes with float64
-# thresholds, which is exact only for magnitudes up to 2^53.
-_ENERGY_LIMIT = 1 << 53
 # t_end / t_start of the default schedule, also used when only t_start is given
 COOLING_RATIO = 0.5
 # delta = 1 - 2 x_j looked up by x_j: +1 when a flip switches bit j on, -1 when off
@@ -140,7 +137,9 @@ class _Context:
             raise ConfigurationError("crossbar_noise_sigma needs the behavioral-cim backend")
         qubo = problem.qubo
         bound = qubo.energy_bound()
-        if bound > _ENERGY_LIMIT:
+        # the vectorized Metropolis test compares int64 energy changes with
+        # float64 thresholds, which is exact only for magnitudes up to 2^53
+        if bound > _FLOAT_EXACT:
             raise ConfigurationError(
                 f"energies up to {bound} exceed 2^53, beyond exact Metropolis comparisons"
             )
@@ -148,10 +147,8 @@ class _Context:
         self.instance = problem.instance
         self.qubo = qubo
         self.dim = qubo.dim
-        self.n = self.instance.n
-        self.capacity = problem.capacity
         self.weights = np.zeros(self.dim, dtype=np.int64)  # slack bits weigh nothing
-        self.weights[: self.n] = self.instance.weights
+        self.weights[: self.instance.n] = self.instance.weights
         self.iterations = schedule.iterations
         self.temps = schedule.temperatures()
         if backend == BACKEND_EXACT:
@@ -165,7 +162,7 @@ class _Context:
             self.filter_model = None  # dqubo proposals are never gated
             if self.mode == MODE_HYCIM:
                 self.filter_model = build_filter(
-                    self.instance.weights, self.capacity, filter_config or FilterConfig()
+                    self.instance.weights, self.instance.capacity, filter_config or FilterConfig()
                 )
 
 
@@ -186,7 +183,7 @@ def _cim_evaluate(ctx, configs, rngs, energies):
 
 def _anneal(ctx, initials, seeds, record_trajectory=False, on_evaluate=None):
     """Advance one block of runs in lockstep; one RunRecord per seed, in order."""
-    runs, iters, cap = len(seeds), ctx.iterations, ctx.capacity
+    runs, iters, cap = len(seeds), ctx.iterations, ctx.instance.capacity
     exact = ctx.backend == BACKEND_EXACT
     hycim = ctx.mode == MODE_HYCIM
     flips = np.empty((iters, runs), dtype=np.intp)
@@ -289,7 +286,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False, on_evaluate=None):
             traj_moved[i] = moved
             traj_feas[i] = passed if hycim else wsum <= cap
 
-    xs = best_x[:, : ctx.n].astype(np.int64)
+    xs = best_x[:, : ctx.instance.n].astype(np.int64)
     profit = np.einsum("ri,ij,rj->r", xs, ctx.instance.profits, xs)
     values = np.where(xs @ ctx.instance.weights <= cap, profit, 0)
     records = []

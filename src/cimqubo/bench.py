@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .anneal import MODE_DQUBO, MODE_HYCIM, AnnealSchedule, batch_solve, default_schedule
+from .anneal import MODE_DQUBO, MODE_HYCIM, batch_solve, default_schedule
 from .errors import CapacityError, ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
 from .qkp import ORACLE_MAX_ITEMS, QkpInstance, brute_force_oracle, qkp_weight
@@ -104,7 +104,6 @@ def success_rate_study(
     instance: QkpInstance,
     num_initials: int,
     runs_per_initial: int,
-    schedule: AnnealSchedule | None = None,
     master_seed: int = 0,
     *,
     iterations: int = 1000,
@@ -117,10 +116,9 @@ def success_rate_study(
     """Run both modes over a shared pool of initials and score each run
     against threshold_fraction of the optimum.
 
-    With schedule=None each mode cools from its own coefficient scale over
-    the given iteration count; an explicit schedule applies to both modes.
-    The optimum comes from exhaustive search for n <= 24; larger instances
-    need best_known."""
+    Each mode cools from its own coefficient scale over the given iteration
+    count.  The optimum comes from exhaustive search for n <= 24; larger
+    instances need best_known."""
     if best_known is not None:
         optimum = int(best_known)
     elif instance.n <= ORACLE_MAX_ITEMS:
@@ -130,10 +128,8 @@ def success_rate_study(
             f"n={instance.n} is beyond exhaustive search, pass best_known"
         )
     threshold = threshold_fraction * optimum
-    h_schedule = d_schedule = schedule
-    if schedule is None:
-        h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
-        d_schedule = default_schedule(build_dqubo(instance, alpha, beta), iterations)
+    h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
+    d_schedule = default_schedule(build_dqubo(instance, alpha, beta), iterations)
     h_records = batch_solve(
         instance, MODE_HYCIM, num_initials, runs_per_initial,
         schedule=h_schedule, master_seed=master_seed, jobs=jobs,
@@ -155,7 +151,7 @@ def success_rate_study(
         dqubo_run_rate=d_run,
         hycim_runs=len(h_records),
         dqubo_runs=len(d_records),
-        iterations=h_schedule.iterations,
+        iterations=iterations,
         num_initials=num_initials,
         runs_per_initial=runs_per_initial,
         master_seed=master_seed,

@@ -10,7 +10,6 @@ when x_i = x_j = 1, so the noiseless reading is exactly x^T q x + offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,58 +19,32 @@ from .transform import QuboMatrix
 
 
 @dataclass(frozen=True, eq=False)
-class SignedPlanes:
-    """One single-signed bit-plane stack."""
-
-    sign: int
-    bits: int
-    planes: np.ndarray  # (bits, dim, dim) of 0/1
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValidationError("sign", f"must be -1 or +1, got {self.sign}")
-        planes = np.asarray(self.planes, dtype=np.uint8)
-        if planes.ndim != 3 or planes.shape[0] != self.bits:
-            raise ValidationError("planes", f"expected ({self.bits}, dim, dim), got {planes.shape}")
-        planes.setflags(write=False)
-        object.__setattr__(self, "planes", planes)
-
-    def magnitudes(self) -> np.ndarray:
-        scales = (1 << np.arange(self.bits, dtype=np.int64))[:, None, None]
-        return (self.planes.astype(np.int64) * scales).sum(axis=0)
-
-
-@dataclass(frozen=True, eq=False)
 class CrossbarModel:
-    dim: int
-    bits: int
-    parts: tuple[SignedPlanes, ...]  # the positive stack first, then the negative one
+    """Programmed bit planes in the layout a read uses.
+
+    rows holds row i of every plane as little-endian uint64 words, laid out
+    (dim, words, planes): bit j % 64 of word j // 64 is cell (i, j).  scale
+    holds each plane's signed weight sign * 2^b, the positive stack's planes
+    first, then the negative stack's."""
+
+    rows: np.ndarray
+    scale: np.ndarray
     offset: int
     noise_sigma: float = 0.0
 
-    @cached_property
-    def _read_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row i of every plane of every part as little-endian uint64 words,
-        laid out (dim, words, planes): bit j % 64 of word j // 64 is cell (i, j).
-        Also each plane's signed weight sign * 2^b, in the same plane order."""
-        words = -(-self.dim // 64)
-        packed = np.concatenate(
-            [np.packbits(part.planes, axis=-1, bitorder="little") for part in self.parts]
-        )
-        padded = np.zeros(packed.shape[:2] + (8 * words,), dtype=np.uint8)
-        padded[..., : packed.shape[2]] = packed
-        rows = np.ascontiguousarray(padded.view("<u8").transpose(1, 2, 0))
-        rows.setflags(write=False)
-        scale = np.concatenate(
-            [part.sign * (1 << np.arange(part.bits, dtype=np.int64)) for part in self.parts]
-        )
-        return rows, scale
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def bits(self) -> int:
+        """Planes in the wider of the two sign stacks."""
+        return int(np.abs(self.scale).max()).bit_length()
 
     def reconstruct(self) -> QuboMatrix:
-        q = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for part in self.parts:
-            q += part.sign * part.magnitudes()
-        return QuboMatrix(q, offset=self.offset)
+        planes = np.ascontiguousarray(self.rows.transpose(2, 0, 1)).view(np.uint8)
+        cells = np.unpackbits(planes, axis=-1, count=self.dim, bitorder="little")
+        return QuboMatrix(np.tensordot(self.scale, cells.astype(np.int64), 1), offset=self.offset)
 
 
 @dataclass(frozen=True)
@@ -81,11 +54,15 @@ class EnergyReading:
     activated_cells: int
 
 
-def _plane_stack(mags: np.ndarray, sign: int) -> SignedPlanes:
+def _plane_rows(mags: np.ndarray, words: int) -> np.ndarray:
+    """Bit planes of one single-signed magnitude matrix as (dim, words, bits) rows."""
     bits = max(1, int(mags.max()).bit_length())
-    shifts = np.arange(bits, dtype=np.int64)[:, None, None]
-    planes = ((mags[None, :, :] >> shifts) & 1).astype(np.uint8)
-    return SignedPlanes(sign=sign, bits=bits, planes=planes)
+    dim = mags.shape[0]
+    padded = np.zeros((bits, dim, 8 * words), dtype=np.uint8)
+    # one boolean plane at a time: all planes as int64 would take 8 bytes per cell and bit
+    for b in range(bits):
+        padded[b, :, : -(-dim // 8)] = np.packbits((mags & (1 << b)) != 0, axis=-1, bitorder="little")
+    return padded.view("<u8").transpose(1, 2, 0)
 
 
 def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
@@ -93,19 +70,18 @@ def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
     if noise_sigma < 0:
         raise ValidationError("noise_sigma", f"must be >= 0, got {noise_sigma}")
     mat = q.q
-    parts = []
-    if np.any(mat > 0):
-        parts.append(_plane_stack(np.where(mat > 0, mat, 0), 1))
+    words = -(-q.dim // 64)
+    signs = [1] if np.any(mat > 0) else []
     # the zero matrix gets one all-zero negative stack
-    if np.any(mat < 0) or not parts:
-        parts.append(_plane_stack(np.where(mat < 0, -mat, 0), -1))
-    return CrossbarModel(
-        dim=q.dim,
-        bits=max(part.bits for part in parts),
-        parts=tuple(parts),
-        offset=q.offset,
-        noise_sigma=float(noise_sigma),
-    )
+    if np.any(mat < 0) or not signs:
+        signs.append(-1)
+    stacks = [_plane_rows(np.maximum(sign * mat, 0), words) for sign in signs]
+    rows = np.ascontiguousarray(np.concatenate(stacks, axis=2))
+    rows.setflags(write=False)
+    scale = np.concatenate([sign * (1 << np.arange(stack.shape[2], dtype=np.int64))
+                            for sign, stack in zip(signs, stacks)])
+    scale.setflags(write=False)
+    return CrossbarModel(rows=rows, scale=scale, offset=q.offset, noise_sigma=float(noise_sigma))
 
 
 def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
@@ -121,7 +97,7 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
     plane.  Noiseless readings satisfy value == exact_value.
     """
     bits = as_bits(x, model.dim)
-    rows, scale = model._read_stack
+    rows, scale = model.rows, model.scale
     # x in the rows' word layout, as a (words, 1) column against the plane axis
     packed = np.packbits(bits, bitorder="little").tobytes().ljust(8 * rows.shape[1], b"\0")
     xw = np.ndarray((rows.shape[1], 1), "<u8", packed)
@@ -140,17 +116,13 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
 def linearity_sweep(model: CrossbarModel, max_cells: int, rng=None) -> list[tuple[int, float]]:
     """Activate 1..max_cells programmed cells in a fixed order and read unit currents.
 
-    Cells are taken part by part, plane by plane, row-major.  Each step is a
-    fresh read: with noise every conducting cell contributes 1 + eta units.
-    Noiseless sweeps return exactly (k, k).
+    Cells are taken plane by plane, row-major.  Each step is a fresh read:
+    with noise every conducting cell contributes 1 + eta units.  Noiseless
+    sweeps return exactly (k, k).
     """
-    order = []
-    for part in model.parts:
-        for b in range(part.bits):
-            coords = np.argwhere(part.planes[b] == 1)
-            order.extend((part.sign, b, int(i), int(j)) for i, j in coords)
-    if max_cells > len(order):
-        raise ValidationError("max_cells", f"only {len(order)} cells are programmed, asked for {max_cells}")
+    programmed = int(np.bitwise_count(model.rows).sum())
+    if max_cells > programmed:
+        raise ValidationError("max_cells", f"only {programmed} cells are programmed, asked for {max_cells}")
     gen = _as_rng(rng) if model.noise_sigma > 0 else None
     series = [(0, 0.0)]
     for k in range(1, max_cells + 1):

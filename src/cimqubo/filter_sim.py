@@ -94,8 +94,6 @@ class FilterModel:
     working: WeightPlane
     replica: ReplicaConfig
     config: FilterConfig
-    weights: np.ndarray
-    capacity: int
     replica_ml: float
 
 
@@ -171,14 +169,7 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
             f"unit_drop {config.unit_drop} x capacity {capacity} reaches vdd {config.vdd}: "
             "the replica matchline saturates at zero"
         )
-    return FilterModel(
-        working=working,
-        replica=rep,
-        config=config,
-        weights=w,
-        capacity=int(capacity),
-        replica_ml=replica_ml,
-    )
+    return FilterModel(working=working, replica=rep, config=config, replica_ml=replica_ml)
 
 
 def evaluate_ml(plane: WeightPlane, x, config: FilterConfig, rng=None) -> float:

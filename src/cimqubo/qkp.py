@@ -18,18 +18,24 @@ JSON_FORMAT = "json"
 
 ORACLE_MAX_ITEMS = 24
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here
+_INT8 = np.dtype(np.int8)
 _ENUM_CHUNK = 1 << 15  # configurations scored at once: about 5 MiB per float64 temporary at n = 20
 
 
 def as_bits(x, n: int | None = None) -> np.ndarray:
     """Normalize a 0/1 sequence to an int8 vector, checking length when given."""
-    bits = np.asarray(x, dtype=np.int8)
+    bits = np.asarray(x)
     if bits.ndim != 1:
         raise DimensionError(f"expected a 1-d bit vector, got shape {bits.shape}")
     if n is not None and bits.shape[0] != n:
         raise DimensionError(f"bit vector has length {bits.shape[0]}, expected {n}")
-    # deleting every 0 and 1 byte leaves nothing; cheaper than a numpy reduction
-    # on the short vectors each annealing step checks
+    if bits.dtype != _INT8:
+        # checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValidationError("bits", "entries must be 0 or 1")
+        return bits.astype(np.int8)
+    # deleting every 0 and 1 byte leaves nothing; cheaper than a numpy
+    # reduction on the short int8 vectors each annealing step checks
     if bits.tobytes().translate(None, b"\0\1"):
         raise ValidationError("bits", "entries must be 0 or 1")
     return bits

@@ -84,8 +84,6 @@ class InequalityQuboModel:
     """Profit matrix negated into a QUBO, constraint handled by the filter."""
 
     qubo: QuboMatrix
-    weights: np.ndarray
-    capacity: int
     instance: QkpInstance
 
 
@@ -96,8 +94,6 @@ class DQuboModel:
     qubo: QuboMatrix
     alpha: int
     beta: int
-    n: int
-    capacity: int
     instance: QkpInstance
 
 
@@ -108,10 +104,7 @@ class QuantizationInfo:
 
 
 def build_inequality_qubo(instance: QkpInstance) -> InequalityQuboModel:
-    q = QuboMatrix(-instance.profits, offset=0)
-    return InequalityQuboModel(
-        qubo=q, weights=instance.weights, capacity=instance.capacity, instance=instance
-    )
+    return InequalityQuboModel(qubo=QuboMatrix(-instance.profits, offset=0), instance=instance)
 
 
 def build_dqubo(instance: QkpInstance, alpha: int = 2, beta: int = 2) -> DQuboModel:
@@ -157,14 +150,8 @@ def build_dqubo(instance: QkpInstance, alpha: int = 2, beta: int = 2) -> DQuboMo
     q[idy, idy] = beta * k * k - alpha
     q[:n, n:] = -2 * beta * np.outer(w, k)
     q.setflags(write=False)  # QuboMatrix keeps it without a copy
-    return DQuboModel(
-        qubo=QuboMatrix(q, offset=alpha),
-        alpha=int(alpha),
-        beta=int(beta),
-        n=n,
-        capacity=C,
-        instance=instance,
-    )
+    return DQuboModel(qubo=QuboMatrix(q, offset=alpha), alpha=int(alpha), beta=int(beta),
+                      instance=instance)
 
 
 def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> QuantizationInfo:
@@ -187,7 +174,7 @@ def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> Qua
 def constrained_energy(model: InequalityQuboModel, x) -> int:
     """Energy (w.x <= C) * x^T q x; zero whenever the configuration is over weight."""
     bits = as_bits(x, model.qubo.dim).astype(np.int64)
-    if int(model.weights @ bits) > model.capacity:
+    if int(model.instance.weights @ bits) > model.instance.capacity:
         return 0
     return int(bits @ model.qubo.q @ bits) + model.qubo.offset
 
@@ -237,7 +224,7 @@ def qubo_document_dict(model: InequalityQuboModel | DQuboModel) -> dict:
     doc["dim"] = model.qubo.dim
     doc["offset"] = model.qubo.offset
     doc["weights"] = model.instance.weights.tolist()
-    doc["capacity"] = model.capacity
+    doc["capacity"] = model.instance.capacity
     doc.update(_matrix_payload(model.qubo))
     return doc
 

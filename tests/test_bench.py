@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cimqubo import (
-    AnnealSchedule,
     ConfigurationError,
     FilterConfig,
     ValidationError,
@@ -134,12 +133,6 @@ def test_success_study_needs_optimum_for_large_instances():
         success_rate_study(big, 1, 1, iterations=50)
     rep = success_rate_study(big, 1, 1, iterations=50, best_known=1, master_seed=2)
     assert rep.optimum == 1
-
-
-def test_success_study_accepts_shared_schedule(tiny):
-    sched = AnnealSchedule(iterations=200, t_start=4.0, t_end=0.5)
-    rep = success_rate_study(tiny, 2, 2, schedule=sched, master_seed=4)
-    assert rep.iterations == 200
 
 
 # ------------------------------------------------------- filter studies

@@ -17,16 +17,26 @@ def q2():
     return QuboMatrix(np.array([[-5, -2], [-2, -3]]))
 
 
+def plane_cells(model):
+    """Every plane as a dim x dim 0/1 list, unpacked bit by bit from the
+    uint64 row words: bit j % 64 of word j // 64 of row i is cell (i, j)."""
+    dim = model.dim
+    return [[[(int(model.rows[i, j // 64, p]) >> (j % 64)) & 1 for j in range(dim)]
+             for i in range(dim)]
+            for p in range(model.scale.size)]
+
+
 # ------------------------------------------------------- programming
 
 def test_program_single_signed_matrix():
     model = program_crossbar(q2())
     assert model.bits == 3
-    assert [p.sign for p in model.parts] == [-1]
-    planes = model.parts[0].planes
-    assert planes[0].tolist() == [[1, 0], [0, 1]]   # LSB of 5, 2, 2, 3
-    assert planes[1].tolist() == [[0, 1], [1, 1]]
-    assert planes[2].tolist() == [[1, 0], [0, 0]]
+    assert model.rows.dtype == np.uint64 and model.rows.shape == (2, 1, 3)
+    assert model.scale.tolist() == [-1, -2, -4]   # one negative stack
+    planes = plane_cells(model)
+    assert planes[0] == [[1, 0], [0, 1]]   # LSB of 5, 2, 2, 3
+    assert planes[1] == [[0, 1], [1, 1]]
+    assert planes[2] == [[1, 0], [0, 0]]
 
 
 def test_reconstruct_is_exact():
@@ -37,15 +47,34 @@ def test_reconstruct_is_exact():
 def test_program_mixed_sign_splits_stacks():
     q = QuboMatrix(np.array([[3, -2], [0, 5]]), offset=4)
     model = program_crossbar(q)
-    assert [p.sign for p in model.parts] == [1, -1]
+    # the positive stack (3 bits for 3 and 5) first, then the negative one (2 bits for 2)
+    assert model.bits == 3
+    assert model.scale.tolist() == [1, 2, 4, -1, -2]
+    assert plane_cells(model) == [
+        [[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]],
+        [[0, 0], [0, 0]], [[0, 1], [0, 0]],
+    ]
     assert model.reconstruct() == q
 
 
 def test_program_zero_matrix():
     model = program_crossbar(QuboMatrix(np.zeros((3, 3), dtype=np.int64)))
     assert model.bits == 1
-    assert [p.sign for p in model.parts] == [-1]
+    assert model.scale.tolist() == [-1]   # one all-zero negative stack
+    assert plane_cells(model) == [[[0] * 3] * 3]
     assert model.reconstruct().q.tolist() == np.zeros((3, 3)).tolist()
+
+
+def test_program_round_trips_across_word_boundaries():
+    rng = np.random.default_rng(8)
+    for dim in (1, 63, 64, 65, 129):
+        q = QuboMatrix(rng.integers(-2**40, 2**40, size=(dim, dim)), offset=int(rng.integers(-9, 10)))
+        model = program_crossbar(q)
+        assert model.reconstruct() == q
+        programmed = sum(bin(abs(v)).count("1") for row in q.q.tolist() for v in row)
+        assert linearity_sweep(model, programmed)[-1] == (programmed, float(programmed))
+        with pytest.raises(ValidationError, match=f"only {programmed} cells"):
+            linearity_sweep(model, programmed + 1)
 
 
 def test_programmed_bits_cover_quantization_width():

@@ -1,5 +1,8 @@
 """Property tests of the lockstep annealer, the penalty coefficient
-formulas and the packed crossbar read on random instances and matrices."""
+formulas, the packed crossbar read, the noiseless filter, the QUBO file
+round trip and the exhaustive oracle on random instances and matrices."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,9 +14,14 @@ from cimqubo import (
     FilterConfig,
     QuboMatrix,
     batch_solve,
+    brute_force_oracle,
     build_dqubo,
+    build_filter,
     build_inequality_qubo,
     dqubo_quantization_info,
+    dump_qubo_json,
+    filter_check,
+    load_qubo_json,
     program_crossbar,
     quantization_info,
     sa_run,
@@ -22,10 +30,12 @@ from cimqubo import (
 
 from conftest import (
     make_instance,
+    ref_enumerate,
     ref_initials,
     ref_plane_counts,
     ref_qubo_energy,
     ref_run_seed,
+    ref_weight,
 )
 
 BUILDS = {"hycim": build_inequality_qubo, "dqubo": build_dqubo}
@@ -111,3 +121,65 @@ def test_packed_read_counts_match_plain_loops(dim, signs, fill, peak, seed):
     assert reading.exact_value == ref_qubo_energy(q.q.tolist(), x.tolist(), q.offset)
     assert reading.value == reading.exact_value
     assert reading.activated_cells == sum(ref_plane_counts(q.q.tolist(), x.tolist()))
+
+
+@st.composite
+def filter_setups(draw):
+    """Weights within one column budget, a capacity the replica can hold and a
+    unit drop that keeps the replica matchline off zero (None: the default)."""
+    rows, levels = draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    budget = rows * levels
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, budget), min_size=n, max_size=n))
+    capacity = draw(st.integers(1, n * budget))
+    vdd = draw(st.floats(0.1, 5.0))
+    share = draw(st.none() | st.floats(0.01, 0.99))  # of vdd, taken by the capacity
+    unit_drop = None if share is None else share * vdd / capacity
+    return weights, capacity, FilterConfig(rows=rows, levels_per_cell=levels, vdd=vdd,
+                                           unit_drop=unit_drop)
+
+
+@common
+@given(setup=filter_setups())
+def test_noiseless_filter_is_the_weight_inequality(setup):
+    weights, capacity, config = setup
+    model = build_filter(weights, capacity, config)
+    for x in itertools.product((0, 1), repeat=len(weights)):
+        assert filter_check(model, list(x)).feasible == (ref_weight(weights, x) <= capacity)
+
+
+@common
+@given(inst=instances(), mode=st.sampled_from(sorted(BUILDS)), alpha=st.integers(1, 50),
+       beta=st.integers(1, 50))
+def test_qubo_json_round_trip_keeps_the_constraint(inst, mode, alpha, beta):
+    model = build_inequality_qubo(inst) if mode == "hycim" else build_dqubo(inst, alpha, beta)
+    doc = load_qubo_json(dump_qubo_json(model))
+    assert doc.qubo == model.qubo
+    assert doc.weights.tolist() == inst.weights.tolist()
+    assert doc.capacity == inst.capacity
+    if mode == "hycim":
+        assert (doc.alpha, doc.beta) == (None, None)
+    else:
+        assert (doc.alpha, doc.beta) == (alpha, beta)
+
+
+@st.composite
+def oracle_instances(draw):
+    """n <= 10 items with small profits, so equal optima (ties) are common."""
+    n = draw(st.integers(1, 10))
+    upper = np.array(draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))).reshape(n, n)
+    profits = np.triu(upper) + np.triu(upper, k=1).T
+    weights = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
+    capacity = draw(st.integers(1, sum(weights)))
+    return make_instance(profits, weights, capacity, name="oracle")
+
+
+@common
+@given(inst=oracle_instances())
+def test_oracle_matches_plain_enumeration(inst):
+    value, config, feasible = ref_enumerate(inst.profits.tolist(), inst.weights.tolist(),
+                                            inst.capacity)
+    result = brute_force_oracle(inst)
+    assert result.best_value == value
+    assert result.best_config.tolist() == config   # the lowest k = sum x_i 2^i among ties
+    assert result.feasible_count == feasible

@@ -169,10 +169,19 @@ def test_total_weight_does_not_wrap():
     assert inst.total_weight == 2**63
 
 
-@pytest.mark.parametrize("x", [[0, 2], [-1, 0], [1, 127], np.array([1, 0, -128])])
+@pytest.mark.parametrize("x", [
+    [0, 2], [-1, 0], [1, 127], np.array([1, 0, -128]),
+    # entries that a cast to int8 would wrap, truncate or overflow
+    np.array([256, 1]), [0.5, 1], [1.9, 0], [-255, 0],
+])
 def test_as_bits_rejects_entries_other_than_zero_and_one(x):
     with pytest.raises(ValidationError, match="0 or 1"):
         as_bits(x)
+
+
+def test_as_bits_keeps_int8_input_without_a_copy():
+    x = np.array([1, 0, 1], dtype=np.int8)
+    assert as_bits(x, 3) is x
 
 
 def test_as_bits_checks_shape_and_length():

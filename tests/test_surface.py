@@ -5,7 +5,7 @@ from cimqubo import bench, cli, crossbar_sim, filter_sim, qkp, transform
 
 REMOVED = {
     "IsingModel", "ising_to_qubo", "qubo_to_ising", "classification_accuracy",
-    "report_filename", "_parse_transform_mode", "_dqubo_max_abs",
+    "report_filename", "_parse_transform_mode", "_dqubo_max_abs", "SignedPlanes",
 }
 
 
@@ -27,3 +27,13 @@ def test_removed_names_are_gone():
     assert not hasattr(qkp.QkpInstance, "vacuous_constraint")
     assert "sign" not in crossbar_sim.CrossbarModel.__dataclass_fields__
     assert not hasattr(crossbar_sim.CrossbarModel, "planes")
+
+
+def test_programmed_quantities_are_stored_once():
+    # the crossbar keeps only its packed rows; models read the instance they hold
+    assert not {"parts", "_read_stack"} & set(dir(crossbar_sim.CrossbarModel))
+    fields = {cls: set(cls.__dataclass_fields__)
+              for cls in (filter_sim.FilterModel, transform.InequalityQuboModel, transform.DQuboModel)}
+    assert not {"weights", "capacity"} & fields[filter_sim.FilterModel]
+    assert not {"weights", "capacity"} & fields[transform.InequalityQuboModel]
+    assert not {"n", "capacity"} & fields[transform.DQuboModel]
