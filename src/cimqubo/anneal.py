@@ -35,7 +35,13 @@ from .crossbar_sim import program_crossbar, vmv_energy
 from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check
 from .qkp import _FLOAT_EXACT, QkpInstance, as_bits
-from .transform import DQuboModel, InequalityQuboModel, build_dqubo, build_inequality_qubo
+from .transform import (
+    DEFAULT_PENALTY,
+    DQuboModel,
+    InequalityQuboModel,
+    build_dqubo,
+    build_inequality_qubo,
+)
 
 MODE_HYCIM = "hycim"
 MODE_DQUBO = "dqubo"
@@ -95,7 +101,7 @@ def default_schedule(problem: InequalityQuboModel | DQuboModel, iterations: int 
     return AnnealSchedule(iterations=iterations, t_start=t_start, t_end=COOLING_RATIO * t_start)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)  # slots: studies keep thousands of records
 class RunRecord:
     seed: int
     mode: str
@@ -186,7 +192,8 @@ def _anneal(ctx, initials, seeds, record_trajectory=False, on_evaluate=None):
     runs, iters, cap = len(seeds), ctx.iterations, ctx.instance.capacity
     exact = ctx.backend == BACKEND_EXACT
     hycim = ctx.mode == MODE_HYCIM
-    flips = np.empty((iters, runs), dtype=np.intp)
+    # drawn as int64 from each run's generator, stored in the smallest dtype that holds them
+    flips = np.empty((iters, runs), dtype=np.min_scalar_type(ctx.dim - 1))
     thresholds = np.empty((iters, runs))
     rngs = []
     for r, seed in enumerate(seeds):
@@ -378,8 +385,8 @@ def batch_solve(
     backend: str = BACKEND_EXACT,
     master_seed: int = 0,
     *,
-    alpha: int = 2,
-    beta: int = 2,
+    alpha: int = DEFAULT_PENALTY,
+    beta: int = DEFAULT_PENALTY,
     filter_config: FilterConfig | None = None,
     crossbar_noise_sigma: float = 0.0,
     jobs: int = 1,

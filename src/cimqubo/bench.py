@@ -18,7 +18,13 @@ from .anneal import MODE_DQUBO, MODE_HYCIM, batch_solve, default_schedule
 from .errors import CapacityError, ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
 from .qkp import ORACLE_MAX_ITEMS, QkpInstance, brute_force_oracle, qkp_weight
-from .transform import build_dqubo, build_inequality_qubo, dqubo_quantization_info, quantization_info
+from .transform import (
+    DEFAULT_PENALTY,
+    build_dqubo,
+    build_inequality_qubo,
+    dqubo_quantization_info,
+    quantization_info,
+)
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,8 @@ class OverheadReport:
 
 def overhead_report(
     instance: QkpInstance,
-    alpha: int = 2,
-    beta: int = 2,
+    alpha: int = DEFAULT_PENALTY,
+    beta: int = DEFAULT_PENALTY,
     filter_config: FilterConfig | None = None,
 ) -> OverheadReport:
     """Compare programmed-cell budgets of the two formulations.
@@ -107,8 +113,8 @@ def success_rate_study(
     master_seed: int = 0,
     *,
     iterations: int = 1000,
-    alpha: int = 2,
-    beta: int = 2,
+    alpha: int = DEFAULT_PENALTY,
+    beta: int = DEFAULT_PENALTY,
     threshold_fraction: float = 0.95,
     best_known: int | None = None,
     jobs: int = 1,

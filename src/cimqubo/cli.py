@@ -47,6 +47,7 @@ from .qkp import (
     load_instance,
 )
 from .transform import (
+    DEFAULT_PENALTY,
     build_dqubo,
     build_inequality_qubo,
     dump_qubo_json,
@@ -271,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="emit a QUBO document for an instance")
     p.add_argument("instance")
     p.add_argument("--mode", choices=["ineq", "dqubo"], required=True)
-    p.add_argument("--alpha", type=int, default=2)
-    p.add_argument("--beta", type=int, default=2)
+    p.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
+    p.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_transform)
 
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-start", type=float, default=None)
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=int, default=2)
-    p.add_argument("--beta", type=int, default=2)
+    p.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
+    p.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--noise-sigma", type=float, default=0.0,
                    help="array noise, behavioral-cim backend only")
     p.add_argument("--jobs", type=int, default=1)
@@ -313,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overhead", help="hardware cost comparison")
     p.add_argument("instances", nargs="+")
-    p.add_argument("--alpha", type=int, default=2)
-    p.add_argument("--beta", type=int, default=2)
+    p.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
+    p.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_overhead)
 
@@ -326,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--iters", "--iterations", dest="iterations", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=int, default=2)
-    p.add_argument("--beta", type=int, default=2)
+    p.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
+    p.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", "--csv", dest="report", default=None)
     p.add_argument("--json", default=None)

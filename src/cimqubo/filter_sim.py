@@ -154,7 +154,8 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
 
     When unit_drop is not set it defaults to vdd / (2 * max(capacity, max w)),
     placing the replica matchline mid-rail.  A replica matchline discharged to
-    zero would tie with every over-weight input, so that raises
+    zero would tie with every over-weight input, and so would one that a
+    weight of capacity + 1 leaves at the same float64 value; both raise
     ConfigurationError.
     """
     w = np.asarray(weights, dtype=np.int64)
@@ -168,6 +169,11 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
         raise ConfigurationError(
             f"unit_drop {config.unit_drop} x capacity {capacity} reaches vdd {config.vdd}: "
             "the replica matchline saturates at zero"
+        )
+    if config.vdd - config.unit_drop * float(int(capacity) + 1) == replica_ml:
+        raise ConfigurationError(
+            f"unit_drop {config.unit_drop} is below the float64 resolution of vdd {config.vdd}: "
+            f"weights {capacity} and {int(capacity) + 1} give the same matchline"
         )
     return FilterModel(working=working, replica=rep, config=config, replica_ml=replica_ml)
 

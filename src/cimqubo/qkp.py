@@ -1,5 +1,10 @@
 """Quadratic knapsack instances: file formats, random generator, exact oracle.
 
+The oracle still scores all 2^n configurations, but builds each score from
+the two halves of the items: each half's own profit and weight sums are
+computed once, and only the cross term between the halves is computed per
+configuration.
+
 An instance asks to maximize sum_{i,j} p_ij x_i x_j over binary x subject to
 sum_i w_i x_i <= C.  The profit matrix is symmetric and the double sum counts
 both orderings, so an off-diagonal pair contributes p_ij + p_ji = 2 p_ij.
@@ -19,7 +24,7 @@ JSON_FORMAT = "json"
 ORACLE_MAX_ITEMS = 24
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here
 _INT8 = np.dtype(np.int8)
-_ENUM_CHUNK = 1 << 15  # configurations scored at once: about 5 MiB per float64 temporary at n = 20
+_ORACLE_BLOCK = 1 << 18  # oracle scores per block: 2 MiB per float64 temporary
 
 
 def as_bits(x, n: int | None = None) -> np.ndarray:
@@ -339,14 +344,24 @@ def generate_instance(
     )
 
 
+def _subsets(k: int) -> np.ndarray:
+    """Row s holds the bits of s, bit i in column i: all 2^k subsets of k items."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+
+
 def brute_force_oracle(instance: QkpInstance) -> OracleResult:
-    """Exhaustive optimum over all 2^n configurations.
+    """Exact optimum over all 2^n configurations, enumerated as two halves.
 
     Configuration k maps to bits with item i at bit position i (LSB first),
-    and ties are broken toward the smallest such integer k.  Only instances
-    with n <= ORACLE_MAX_ITEMS are accepted.  Scores are float64 sums, exact
-    while the profit and weight totals stay within 2^53; larger totals raise
-    OverflowError.
+    and ties are broken toward the smallest such integer k.  Items below
+    h = n // 2 form the low half a, the rest the high half b, and
+    k = a + (b << h).  Each half's own profit and weight sums are computed
+    once; the cross term 2 a^T P_ab b is one matmul per block of high
+    halves, and the feasible count sorts the low-half weights and counts,
+    for each b, the a with w_a <= C - w_b (Horowitz and Sahni, J. ACM 21(2),
+    1974).  Only instances with n <= ORACLE_MAX_ITEMS are accepted.  Scores
+    are float64 sums, exact while the profit and weight totals stay within
+    2^53; larger totals raise OverflowError.
     """
     n = instance.n
     if n > ORACLE_MAX_ITEMS:
@@ -356,25 +371,32 @@ def brute_force_oracle(instance: QkpInstance) -> OracleResult:
     totals = sum(instance.profits.ravel().tolist()), sum(instance.weights.tolist())
     if max(totals) > _FLOAT_EXACT:
         raise OverflowError(f"profit and weight totals {totals} exceed 2^53, the float64 exact range")
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.uint32)
-    profits = instance.profits.astype(np.float64)
-    weights = instance.weights.astype(np.float64)
-    capacity = float(instance.capacity)
+    h = n // 2
+    lo, hi = _subsets(h), _subsets(n - h)
+    p = instance.profits.astype(np.float64)
+    w = instance.weights.astype(np.float64)
+    # a capacity past the total weight admits everything; clamping it keeps C - w_b exact
+    capacity = float(min(instance.capacity, totals[1]))
+    own_a = np.einsum("ij,ij->i", lo @ p[:h, :h], lo)
+    own_b = np.einsum("ij,ij->i", hi @ p[h:, h:], hi)
+    cross_a = 2.0 * p[h:, :h] @ lo.T  # (n - h, 2^h): column a is 2 P_ba a
+    w_a = lo @ w[:h]
+    room = capacity - hi @ w[h:]  # weight left for the low half, per b
+    feasible = int(np.searchsorted(np.sort(w_a), room, side="right").sum())
     best_value = -1.0
     best_k = 0
-    feasible = 0
-    for start in range(0, total, _ENUM_CHUNK):
-        ks = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
-        x = ((ks[:, None] >> shifts) & 1).astype(np.float64)
-        wsum = x @ weights
-        mask = wsum <= capacity
-        feasible += int(np.count_nonzero(mask))
-        obj = np.einsum("ij,ij->i", x @ profits, x)
-        obj[~mask] = -1.0
-        local = int(np.argmax(obj))
-        if obj[local] > best_value:
-            best_value = float(obj[local])
-            best_k = start + local
-    bits = ((best_k >> shifts) & 1).astype(np.int8)
+    step = max(1, _ORACLE_BLOCK >> h)  # high halves per block
+    for start in range(0, 1 << (n - h), step):
+        stop = start + step
+        # block laid out (b, a): its first argmax is its smallest k
+        obj = hi[start:stop] @ cross_a
+        obj += own_b[start:stop, None]
+        obj += own_a
+        np.copyto(obj, -1.0, where=w_a > room[start:stop, None])
+        local = int(obj.argmax())
+        if obj.flat[local] > best_value:
+            best_value = float(obj.flat[local])
+            b, a = divmod(local, 1 << h)
+            best_k = a + ((start + b) << h)
+    bits = ((best_k >> np.arange(n)) & 1).astype(np.int8)
     return OracleResult(best_value=int(best_value), best_config=bits, feasible_count=feasible)

@@ -26,6 +26,11 @@ from .qkp import QkpInstance, as_bits
 INEQUALITY_MODE = "inequality"
 DQUBO_MODE = "dqubo"
 
+# alpha and beta of the penalty form unless given.  Criteria 2-4 (bit widths
+# and cell savings) are stated at this value.  It does not make the penalty
+# sound (min(alpha, beta) above the total profit does), so the lowest-energy
+# configuration can be over weight.
+DEFAULT_PENALTY = 2
 _DQUBO_DIM_LIMIT = 8192
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _SPARSE_THRESHOLD = 0.25
@@ -107,7 +112,9 @@ def build_inequality_qubo(instance: QkpInstance) -> InequalityQuboModel:
     return InequalityQuboModel(qubo=QuboMatrix(-instance.profits, offset=0), instance=instance)
 
 
-def build_dqubo(instance: QkpInstance, alpha: int = 2, beta: int = 2) -> DQuboModel:
+def build_dqubo(
+    instance: QkpInstance, alpha: int = DEFAULT_PENALTY, beta: int = DEFAULT_PENALTY
+) -> DQuboModel:
     """Expand the penalty objective into an (n + C)-variable matrix.
 
     Binary idempotence v^2 = v folds squared terms onto the diagonal.  Pair

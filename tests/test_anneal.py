@@ -1,5 +1,7 @@
 """Annealing schedules, single runs, gating semantics, batch orchestration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,18 @@ def test_records_do_not_depend_on_block_size(monkeypatch, backend):
         blocked = batch_solve(inst, mode, 3, 3, schedule=sched, backend=backend, master_seed=4)
         monkeypatch.undo()
         assert whole == blocked
+
+
+def test_batch_memory_is_bounded():
+    # 1000 dqubo runs over 120 bits: one lockstep block plus the kept records
+    inst = criterion7_instance()
+    tracemalloc.start()
+    try:
+        batch_solve(inst, "dqubo", 100, 10, master_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_energy_bound_guard():

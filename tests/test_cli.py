@@ -1,10 +1,21 @@
 """Command line behavior: subcommands, files, resolution, exit codes."""
 
+import inspect
 import json
 
 import pytest
 
-from cimqubo import build_inequality_qubo, default_schedule, load_instance, parse_instance
+from cimqubo import (
+    DEFAULT_PENALTY,
+    batch_solve,
+    build_dqubo,
+    build_inequality_qubo,
+    default_schedule,
+    load_instance,
+    overhead_report,
+    parse_instance,
+    success_rate_study,
+)
 from cimqubo.cli import _schedule_from_args, build_parser, main
 
 from conftest import make_instance
@@ -151,6 +162,17 @@ def test_solve_t_start_alone_keeps_the_default_cooling_ratio(tiny_path):
     default = default_schedule(problem, 100)
     assert (schedule.iterations, schedule.t_start) == (100, 5.0)
     assert schedule.t_end / schedule.t_start == default.t_end / default.t_start
+
+
+def test_penalty_defaults_agree_with_the_library(tiny_path):
+    parser = build_parser()
+    for argv in (["transform", tiny_path, "--mode", "dqubo"], ["solve", tiny_path],
+                 ["overhead", tiny_path], ["bench", tiny_path]):
+        args = parser.parse_args(argv)
+        assert (args.alpha, args.beta) == (DEFAULT_PENALTY, DEFAULT_PENALTY), argv[0]
+    for fn in (build_dqubo, batch_solve, overhead_report, success_rate_study):
+        params = inspect.signature(fn).parameters
+        assert params["alpha"].default == params["beta"].default == DEFAULT_PENALTY, fn.__name__
 
 
 # ------------------------------------------------------- filter-eval

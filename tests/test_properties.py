@@ -1,6 +1,7 @@
 """Property tests of the lockstep annealer, the penalty coefficient
 formulas, the packed crossbar read, the noiseless filter, the QUBO file
-round trip and the exhaustive oracle on random instances and matrices."""
+round trip, the instance file round trip and the exhaustive oracle on
+random instances and matrices."""
 
 import itertools
 
@@ -10,7 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cimqubo import (
+    JSON_FORMAT,
+    TEXT_FORMAT,
     AnnealSchedule,
+    ConfigurationError,
     FilterConfig,
     QuboMatrix,
     batch_solve,
@@ -19,9 +23,11 @@ from cimqubo import (
     build_filter,
     build_inequality_qubo,
     dqubo_quantization_info,
+    dump_instance,
     dump_qubo_json,
     filter_check,
     load_qubo_json,
+    parse_instance,
     program_crossbar,
     quantization_info,
     sa_run,
@@ -126,24 +132,33 @@ def test_packed_read_counts_match_plain_loops(dim, signs, fill, peak, seed):
 @st.composite
 def filter_setups(draw):
     """Weights within one column budget, a capacity the replica can hold and a
-    unit drop that keeps the replica matchline off zero (None: the default)."""
+    unit drop that keeps the replica matchline off zero (None: the default),
+    or one near the float64 resolution of vdd."""
     rows, levels = draw(st.integers(1, 16)), draw(st.integers(1, 8))
     budget = rows * levels
     n = draw(st.integers(1, 6))
     weights = draw(st.lists(st.integers(0, budget), min_size=n, max_size=n))
     capacity = draw(st.integers(1, n * budget))
     vdd = draw(st.floats(0.1, 5.0))
-    share = draw(st.none() | st.floats(0.01, 0.99))  # of vdd, taken by the capacity
-    unit_drop = None if share is None else share * vdd / capacity
+    share = st.floats(0.01, 0.99).map(lambda s: s * vdd / capacity)  # of vdd, taken by the capacity
+    unit_drop = draw(st.none() | share | st.floats(1e-17, 1e-13))
     return weights, capacity, FilterConfig(rows=rows, levels_per_cell=levels, vdd=vdd,
                                            unit_drop=unit_drop)
 
 
 @common
 @given(setup=filter_setups())
+# 2.0 - 1e-17 rounds back to 2.0: weight 2 would read like the capacity 1
+@example(setup=([2], 1, FilterConfig(vdd=2.0, unit_drop=1e-17)))
 def test_noiseless_filter_is_the_weight_inequality(setup):
     weights, capacity, config = setup
-    model = build_filter(weights, capacity, config)
+    try:
+        model = build_filter(weights, capacity, config)
+    except ConfigurationError:
+        # refused only when capacity and capacity + 1 leave the same matchline
+        drop = config.unit_drop
+        assert config.vdd - drop * capacity == config.vdd - drop * (capacity + 1)
+        return
     for x in itertools.product((0, 1), repeat=len(weights)):
         assert filter_check(model, list(x)).feasible == (ref_weight(weights, x) <= capacity)
 
@@ -176,6 +191,10 @@ def oracle_instances(draw):
 
 @common
 @given(inst=oracle_instances())
+# n = 1 leaves the low half empty; the n = 2 tie spans both halves
+@example(inst=make_instance([[4]], [2], 3, name="one-fits"))
+@example(inst=make_instance([[0]], [1], 1, name="one-zero"))
+@example(inst=make_instance([[1, 0], [0, 1]], [1, 1], 1, name="two-tie"))
 def test_oracle_matches_plain_enumeration(inst):
     value, config, feasible = ref_enumerate(inst.profits.tolist(), inst.weights.tolist(),
                                             inst.capacity)
@@ -183,3 +202,21 @@ def test_oracle_matches_plain_enumeration(inst):
     assert result.best_value == value
     assert result.best_config.tolist() == config   # the lowest k = sum x_i 2^i among ties
     assert result.feasible_count == feasible
+
+
+@st.composite
+def wide_instances(draw):
+    """n <= 12 items with profits, weights and capacity up to 2^40."""
+    n = draw(st.integers(1, 12))
+    upper = draw(st.lists(st.integers(0, 2**40), min_size=n * n, max_size=n * n))
+    upper = np.array(upper, dtype=np.int64).reshape(n, n)
+    profits = np.triu(upper) + np.triu(upper, k=1).T
+    weights = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
+    name = draw(st.text("abcxyz0189_-.", min_size=1, max_size=12))
+    return make_instance(profits, weights, draw(st.integers(1, 2**40)), name=name)
+
+
+@common
+@given(inst=wide_instances(), fmt=st.sampled_from([TEXT_FORMAT, JSON_FORMAT]))
+def test_instance_file_round_trip(inst, fmt):
+    assert parse_instance(dump_instance(inst, fmt), fmt) == inst

@@ -1,5 +1,7 @@
 """Instance model, serialization, objective, generator, oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from cimqubo import (
     qkp_weight,
     save_instance,
 )
+from cimqubo import qkp
 
 from conftest import make_instance, ref_enumerate, ref_objective, ref_weight
 
@@ -280,3 +283,57 @@ def test_oracle_value_monotone_in_capacity():
         for c in range(1, inst.total_weight + 2, 7)
     ]
     assert values == sorted(values)
+
+
+# (value, k = sum x_i 2^i, feasible count) of the full 2^n enumeration the
+# split-half oracle replaced, on the criterion-7 instances and one n = 24
+# instance, where the low and high halves split the items 10/10 and 12/12
+ENUMERATED = [(20, seed, out) for seed, out in enumerate([
+    (3053, 973747, 524288), (2873, 502750, 539948), (2558, 847798, 533396),
+    (2494, 909193, 537505), (3255, 1040052, 541037), (2628, 759243, 532020),
+    (2654, 1009612, 531408), (2455, 1033527, 524288), (2483, 1032666, 536916),
+    (3309, 483273, 538932),
+], start=1)] + [(24, 3, (4196, 10354462, 8645397))]
+
+
+def criterion7_like(n, seed):
+    return generate_instance(n, seed=seed, density=0.5, wmax=20, pmax=50, cap_ratio=0.5)
+
+
+@pytest.mark.parametrize("n, seed, pinned", ENUMERATED)
+def test_oracle_is_pinned_to_full_enumeration(n, seed, pinned):
+    inst = criterion7_like(n, seed)
+    res = brute_force_oracle(inst)
+    k = sum(int(b) << i for i, b in enumerate(res.best_config))
+    assert (res.best_value, k, res.feasible_count) == pinned
+    assert qkp_objective(inst, res.best_config) == res.best_value
+    assert is_feasible(inst, res.best_config)
+
+
+@pytest.mark.parametrize("block", [1, 8])
+def test_oracle_ties_across_blocks_keep_the_smallest_k(monkeypatch, block):
+    # block 1 scores one high half per block, block 8 a few
+    monkeypatch.setattr(qkp, "_ORACLE_BLOCK", block)
+    # items 2 and 3 sit in the high half and tie at profit 1; k = 4 beats k = 8
+    inst = make_instance(np.diag([0, 0, 1, 1]), [1, 1, 1, 1], 1)
+    assert brute_force_oracle(inst).best_config.tolist() == [0, 0, 1, 0]
+    rng = np.random.default_rng(block)
+    for _ in range(10):
+        n = int(rng.integers(3, 10))
+        upper = rng.integers(0, 2, size=(n, n))
+        inst = make_instance(np.triu(upper) + np.triu(upper, k=1).T,
+                             rng.integers(1, 4, size=n), int(rng.integers(1, n + 1)))
+        res = brute_force_oracle(inst)
+        want = ref_enumerate(inst.profits.tolist(), inst.weights.tolist(), inst.capacity)
+        assert (res.best_value, res.best_config.tolist(), res.feasible_count) == want
+
+
+def test_oracle_memory_is_bounded():
+    inst = criterion7_like(24, 3)
+    tracemalloc.start()
+    try:
+        brute_force_oracle(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

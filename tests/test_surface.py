@@ -1,7 +1,9 @@
 """The package's public surface: every exported name resolves, once."""
 
+import numpy as np
+
 import cimqubo
-from cimqubo import bench, cli, crossbar_sim, filter_sim, qkp, transform
+from cimqubo import anneal, bench, cli, crossbar_sim, filter_sim, qkp, transform
 
 REMOVED = {
     "IsingModel", "ising_to_qubo", "qubo_to_ising", "classification_accuracy",
@@ -37,3 +39,12 @@ def test_programmed_quantities_are_stored_once():
     assert not {"weights", "capacity"} & fields[filter_sim.FilterModel]
     assert not {"weights", "capacity"} & fields[transform.InequalityQuboModel]
     assert not {"n", "capacity"} & fields[transform.DQuboModel]
+
+
+def test_run_records_have_slots():
+    # studies keep every record, so no record carries an instance __dict__
+    record = anneal.RunRecord(seed=0, mode="hycim", best_energy=0, best_config=np.zeros(1),
+                              best_qkp_value=0, trajectory=None, filter_rejections=0,
+                              evaluations=1)
+    assert "__slots__" in vars(anneal.RunRecord)
+    assert not hasattr(record, "__dict__")
