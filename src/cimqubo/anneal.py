@@ -52,6 +52,8 @@ BACKEND_CIM = "behavioral-cim"
 _BLOCK_DRAWS = 1 << 20
 # t_end / t_start of the default schedule, also used when only t_start is given
 COOLING_RATIO = 0.5
+# annealing steps per run unless a schedule or caller says otherwise
+DEFAULT_ITERATIONS = 1000
 # delta = 1 - 2 x_j looked up by x_j: +1 when a flip switches bit j on, -1 when off
 _FLIP_SIGN = np.array([1, -1])
 
@@ -60,7 +62,7 @@ _FLIP_SIGN = np.array([1, -1])
 class AnnealSchedule:
     """Geometric cooling from t_start down to exactly t_end at the last step."""
 
-    iterations: int = 1000
+    iterations: int = DEFAULT_ITERATIONS
     t_start: float = 1.0
     t_end: float = 0.01
 
@@ -90,7 +92,9 @@ def flip_scale(problem: InequalityQuboModel | DQuboModel) -> float:
     return float(paired.sum(axis=0).mean() + np.abs(np.diagonal(q)).mean())
 
 
-def default_schedule(problem: InequalityQuboModel | DQuboModel, iterations: int = 1000) -> AnnealSchedule:
+def default_schedule(
+    problem: InequalityQuboModel | DQuboModel, iterations: int = DEFAULT_ITERATIONS
+) -> AnnealSchedule:
     """Start hot enough to accept typical uphill swaps, halve over the run.
 
     A typical flip at half occupancy moves the energy by about half the flip
@@ -187,7 +191,7 @@ def _cim_evaluate(ctx, configs, rngs, energies):
     return passed, energies
 
 
-def _anneal(ctx, initials, seeds, record_trajectory=False, on_evaluate=None):
+def _anneal(ctx, initials, seeds, record_trajectory=False):
     """Advance one block of runs in lockstep; one RunRecord per seed, in order."""
     runs, iters, cap = len(seeds), ctx.iterations, ctx.instance.capacity
     exact = ctx.backend == BACKEND_EXACT
@@ -248,11 +252,6 @@ def _anneal(ctx, initials, seeds, record_trajectory=False, on_evaluate=None):
             probes = x.copy()
             probes.reshape(-1)[pos] ^= 1
             passed, e_new = _cim_evaluate(ctx, probes, rngs, energy)
-        if on_evaluate is not None:
-            for r in range(runs) if passed is None else np.flatnonzero(passed):
-                probe = x[r].copy()
-                probe[j[r]] ^= 1
-                on_evaluate(probe.tolist(), e_new[r].item())
         # every evaluated proposal counts as seen, accepted or not
         improved = e_new < best_e
         de = e_new - energy
@@ -325,19 +324,14 @@ def sa_run(
     filter_config: FilterConfig | None = None,
     crossbar_noise_sigma: float = 0.0,
     record_trajectory: bool = False,
-    on_evaluate=None,
 ) -> RunRecord:
-    """One annealing run from the given initial configuration.
-
-    on_evaluate, when set, is called with (configuration, energy) at every
-    energy evaluation; filter-rejected proposals never reach it.
-    """
+    """One annealing run from the given initial configuration."""
     if initial is None:
         raise ConfigurationError("an initial configuration is required")
     if schedule is None:
         schedule = default_schedule(problem)
     ctx = _Context(problem, backend, schedule, filter_config, crossbar_noise_sigma)
-    return _anneal(ctx, [initial], [seed], record_trajectory, on_evaluate)[0]
+    return _anneal(ctx, [initial], [seed], record_trajectory)[0]
 
 
 def _derived_seed(master_seed: int, initial_index: int, run_index: int) -> int:

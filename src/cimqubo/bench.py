@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .anneal import MODE_DQUBO, MODE_HYCIM, batch_solve, default_schedule
+from .anneal import DEFAULT_ITERATIONS, MODE_DQUBO, MODE_HYCIM, batch_solve, default_schedule
 from .errors import CapacityError, ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
 from .qkp import ORACLE_MAX_ITEMS, QkpInstance, brute_force_oracle, qkp_weight
@@ -25,6 +25,9 @@ from .transform import (
     dqubo_quantization_info,
     quantization_info,
 )
+
+# a run succeeds when its best value reaches this fraction of the optimum
+THRESHOLD_FRACTION = 0.95
 
 
 @dataclass(frozen=True)
@@ -45,17 +48,16 @@ def overhead_report(
     instance: QkpInstance,
     alpha: int = DEFAULT_PENALTY,
     beta: int = DEFAULT_PENALTY,
-    filter_config: FilterConfig | None = None,
 ) -> OverheadReport:
-    """Compare programmed-cell budgets of the two formulations.
+    """Compare programmed-cell budgets of the two formulations, the filter at
+    its default geometry.
 
     When the penalty matrix is too large to materialize its bit depth is still
     exact, computed from the coefficient formulas."""
-    cfg = filter_config or FilterConfig()
     n = instance.n
     ineq = build_inequality_qubo(instance)
     hbits = quantization_info(ineq.qubo.q).bits
-    hycim_cells = 2 * cfg.rows * n + n * n * hbits
+    hycim_cells = 2 * FilterConfig.rows * n + n * n * hbits
     dqubo_dim = n + instance.capacity
     try:
         dq = build_dqubo(instance, alpha, beta)
@@ -112,15 +114,14 @@ def success_rate_study(
     runs_per_initial: int,
     master_seed: int = 0,
     *,
-    iterations: int = 1000,
+    iterations: int = DEFAULT_ITERATIONS,
     alpha: int = DEFAULT_PENALTY,
     beta: int = DEFAULT_PENALTY,
-    threshold_fraction: float = 0.95,
     best_known: int | None = None,
     jobs: int = 1,
 ) -> SuccessReport:
     """Run both modes over a shared pool of initials and score each run
-    against threshold_fraction of the optimum.
+    against THRESHOLD_FRACTION of the optimum.
 
     Each mode cools from its own coefficient scale over the given iteration
     count.  The optimum comes from exhaustive search for n <= 24; larger
@@ -133,7 +134,7 @@ def success_rate_study(
         raise ConfigurationError(
             f"n={instance.n} is beyond exhaustive search, pass best_known"
         )
-    threshold = threshold_fraction * optimum
+    threshold = THRESHOLD_FRACTION * optimum
     h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
     d_schedule = default_schedule(build_dqubo(instance, alpha, beta), iterations)
     h_records = batch_solve(
@@ -235,25 +236,23 @@ def filter_study(
 
 def filter_suite(
     instances: list[QkpInstance],
-    config: FilterConfig | None = None,
     configs_per_instance: int = 20,
     seed: int = 0,
 ) -> FilterStudy:
-    """filter_study over many instances with one aggregate accuracy; each
-    instance samples its own balanced configuration set."""
+    """Noiseless filter_study over many instances with one aggregate accuracy;
+    each instance samples its own balanced configuration set."""
     cases = []
     correct = 0
-    noise = (config or FilterConfig()).noise_sigma
     for idx, inst in enumerate(instances):
         sub_seed = int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1, np.uint64)[0])
-        study = filter_study(inst, configs_per_instance, config=config, seed=sub_seed)
+        study = filter_study(inst, configs_per_instance, seed=sub_seed)
         cases.extend(study.cases)
         correct += sum(case.predicted == case.actual for case in study.cases)
     return FilterStudy(
         instance=f"suite[{len(instances)}]",
         num_cases=len(cases),
         accuracy=correct / len(cases) if cases else 1.0,
-        noise_sigma=noise,
+        noise_sigma=FilterConfig.noise_sigma,
         seed=seed,
         cases=cases,
     )

@@ -16,6 +16,7 @@ from .anneal import (
     BACKEND_CIM,
     BACKEND_EXACT,
     COOLING_RATIO,
+    DEFAULT_ITERATIONS,
     MODE_DQUBO,
     MODE_HYCIM,
     AnnealSchedule,
@@ -43,7 +44,6 @@ from .qkp import (
     brute_force_oracle,
     dump_instance,
     generate_instance,
-    infer_format,
     load_instance,
 )
 from .transform import (
@@ -257,6 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    penalty = argparse.ArgumentParser(add_help=False)
+    penalty.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
+    penalty.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--initials", type=int, default=100)
+    runs.add_argument("--runs", type=int, default=10)
+    runs.add_argument("--iters", "--iterations", dest="iterations", type=int,
+                      default=DEFAULT_ITERATIONS)
+    runs.add_argument("--seed", type=int, default=0)
+    runs.add_argument("--jobs", type=int, default=1)
+
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--density", type=float, default=0.5)
@@ -269,11 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="output path, - for stdout")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("transform", help="emit a QUBO document for an instance")
+    p = sub.add_parser("transform", parents=[penalty],
+                       help="emit a QUBO document for an instance")
     p.add_argument("instance")
     p.add_argument("--mode", choices=["ineq", "dqubo"], required=True)
-    p.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
-    p.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_transform)
 
@@ -281,22 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("solve", help="simulated annealing")
+    p = sub.add_parser("solve", parents=[runs, penalty], help="simulated annealing")
     p.add_argument("instance")
     p.add_argument("--mode", choices=[MODE_HYCIM, MODE_DQUBO], default=MODE_HYCIM)
     p.add_argument("--backend", choices=[BACKEND_EXACT, BACKEND_CIM],
                    default=BACKEND_EXACT)
-    p.add_argument("--initials", type=int, default=100)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--iters", "--iterations", dest="iterations", type=int, default=1000)
     p.add_argument("--t-start", type=float, default=None)
     p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
-    p.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--noise-sigma", type=float, default=0.0,
                    help="array noise, behavioral-cim backend only")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--trajectory", default=None,
                    help="CSV path; needs --initials 1 --runs 1")
     p.set_defaults(func=_cmd_solve)
@@ -304,32 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter-eval", help="filter classification accuracy")
     p.add_argument("instance")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--noise-sigma", type=float, default=FilterConfig.noise_sigma)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rows", type=int, default=16)
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--rows", type=int, default=FilterConfig.rows)
+    p.add_argument("--levels", type=int, default=FilterConfig.levels_per_cell)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_filter_eval)
 
-    p = sub.add_parser("overhead", help="hardware cost comparison")
+    p = sub.add_parser("overhead", parents=[penalty], help="hardware cost comparison")
     p.add_argument("instances", nargs="+")
-    p.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
-    p.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_overhead)
 
-    p = sub.add_parser("bench", help="success-rate study, both modes")
+    p = sub.add_parser("bench", parents=[runs, penalty], help="success-rate study, both modes")
     p.add_argument("instances", nargs="*")
     p.add_argument("--dir", dest="directory", default=None,
                    help="run every instance file in this directory")
-    p.add_argument("--initials", type=int, default=100)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--iters", "--iterations", dest="iterations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=int, default=DEFAULT_PENALTY)
-    p.add_argument("--beta", type=int, default=DEFAULT_PENALTY)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", "--csv", dest="report", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_bench)

@@ -111,24 +111,3 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
         eta = _as_rng(rng).standard_normal(scale.size) * np.sqrt(counts)
         value += model.noise_sigma * float(eta @ scale)
     return EnergyReading(value=value, exact_value=exact, activated_cells=sum(counts.tolist()))
-
-
-def linearity_sweep(model: CrossbarModel, max_cells: int, rng=None) -> list[tuple[int, float]]:
-    """Activate 1..max_cells programmed cells in a fixed order and read unit currents.
-
-    Cells are taken plane by plane, row-major.  Each step is a fresh read:
-    with noise every conducting cell contributes 1 + eta units.  Noiseless
-    sweeps return exactly (k, k).
-    """
-    programmed = int(np.bitwise_count(model.rows).sum())
-    if max_cells > programmed:
-        raise ValidationError("max_cells", f"only {programmed} cells are programmed, asked for {max_cells}")
-    gen = _as_rng(rng) if model.noise_sigma > 0 else None
-    series = [(0, 0.0)]
-    for k in range(1, max_cells + 1):
-        if gen is None:
-            current = float(k)
-        else:
-            current = float(k) + gen.standard_normal(k).sum() * model.noise_sigma
-        series.append((k, current))
-    return series

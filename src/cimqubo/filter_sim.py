@@ -29,7 +29,6 @@ class FilterConfig:
     vdd: float = 2.0
     unit_drop: float | None = None
     noise_sigma: float = 0.0
-    comparator_offset: float = 0.0
 
     def __post_init__(self):
         if self.rows < 1:
@@ -200,7 +199,7 @@ def evaluate_ml(plane: WeightPlane, x, config: FilterConfig, rng=None) -> float:
 def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
     """Compare the working matchline against the noiseless replica; ties pass."""
     working = evaluate_ml(model.working, x, model.config, rng)
-    feasible = working >= model.replica_ml + model.config.comparator_offset
+    feasible = working >= model.replica_ml
     return FilterDecision(working_ml=working, replica_ml=model.replica_ml, feasible=bool(feasible))
 
 
@@ -210,7 +209,6 @@ def sample_balanced_configs(
     num_feasible: int,
     num_infeasible: int,
     seed: int = 0,
-    max_attempts: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw unique uniform configurations until both class quotas are met.
 
@@ -219,7 +217,7 @@ def sample_balanced_configs(
     """
     w = np.asarray(weights, dtype=np.int64)
     n = w.shape[0]
-    budget = max_attempts if max_attempts is not None else max(20000, 400 * (num_feasible + num_infeasible))
+    budget = max(20000, 400 * (num_feasible + num_infeasible))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     feas: list[np.ndarray] = []
     infeas: list[np.ndarray] = []

@@ -284,14 +284,15 @@ def infer_format(path) -> str:
     return JSON_FORMAT if str(path).lower().endswith(".json") else TEXT_FORMAT
 
 
-def load_instance(path, fmt: str | None = None) -> QkpInstance:
+def load_instance(path) -> QkpInstance:
+    """Read an instance file in the format its extension names."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh, fmt or infer_format(path))
+        return parse_instance(fh, infer_format(path))
 
 
-def save_instance(instance: QkpInstance, path, fmt: str | None = None) -> None:
+def save_instance(instance: QkpInstance, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_instance(instance, fmt or infer_format(path)))
+        fh.write(dump_instance(instance, infer_format(path)))
 
 
 def generate_instance(
@@ -368,7 +369,7 @@ def brute_force_oracle(instance: QkpInstance) -> OracleResult:
         raise CapacityError(
             f"oracle handles n <= {ORACLE_MAX_ITEMS}, got n = {n}; use the annealer for larger instances"
         )
-    totals = sum(instance.profits.ravel().tolist()), sum(instance.weights.tolist())
+    totals = sum(instance.profits.ravel().tolist()), instance.total_weight
     if max(totals) > _FLOAT_EXACT:
         raise OverflowError(f"profit and weight totals {totals} exceed 2^53, the float64 exact range")
     h = n // 2

@@ -131,9 +131,8 @@ def build_dqubo(
     # alpha (sum y_k - 1)^2 sum to at most the bound below, offset included.
     # Below 2^63 neither an energy nor a kept coefficient can wrap; the
     # diagonals that are discarded or overwritten below may, harmlessly.
-    wtot = sum(instance.weights.tolist())
     bound = (_exact_sum(instance.profits.view(np.uint64))
-             + beta * (wtot + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
+             + beta * (instance.total_weight + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
     if bound > _INT64_MAX:
         raise OverflowError(
             f"penalty energies up to {bound} overflow 64-bit arithmetic (capacity {C})"
@@ -176,14 +175,6 @@ def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> Qua
     ydiag = abs(beta * C * C - alpha)
     cross = 2 * beta * max(instance.weights.tolist()) * C
     return _quantization(max(int(np.abs(xb).max()), ypair, ydiag, cross))
-
-
-def constrained_energy(model: InequalityQuboModel, x) -> int:
-    """Energy (w.x <= C) * x^T q x; zero whenever the configuration is over weight."""
-    bits = as_bits(x, model.qubo.dim).astype(np.int64)
-    if int(model.instance.weights @ bits) > model.instance.capacity:
-        return 0
-    return int(bits @ model.qubo.q @ bits) + model.qubo.offset
 
 
 def _quantization(max_abs: int) -> QuantizationInfo:

@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cimqubo import QkpInstance
+from cimqubo import InequalityQuboModel, QkpInstance
 
 
 def ref_objective(profits, x):
@@ -34,6 +34,73 @@ def ref_qubo_energy(q, x, offset=0):
         for j in range(n):
             total += q[i][j] * x[i] * x[j]
     return total + offset
+
+
+def ref_constrained_energy(model, x):
+    """(w.x <= C) * x^T q x of an inequality model: zero when x is over weight."""
+    inst = model.instance
+    if ref_weight(inst.weights.tolist(), x) > inst.capacity:
+        return 0
+    return ref_qubo_energy(model.qubo.q.tolist(), x, model.qubo.offset)
+
+
+def ref_anneal(problem, schedule, initial, seed):
+    """One exact annealing run replayed step by step.
+
+    The run draws integers(0, dim, iterations) as its flips, then
+    -log(random(iterations)) * T as its Metropolis thresholds, from
+    default_rng(seed).  An inequality model gates each proposal by its weight;
+    while the current configuration is over weight, a gated proposal is taken
+    as a drift move and the energy stays 0.  A proposal that passes is
+    accepted when e_new - e < max(threshold, smallest subnormal), and the best
+    energy is the first strictly lower one.  Returns the run record's fields,
+    its trajectory rows and the proposal of every step.
+    """
+    inst = problem.instance
+    weights, cap, n = inst.weights.tolist(), inst.capacity, inst.n
+    q, offset = problem.qubo.q.tolist(), problem.qubo.offset
+    hycim = isinstance(problem, InequalityQuboModel)
+    rng = np.random.default_rng(seed)
+    flips = rng.integers(0, len(q), schedule.iterations).tolist()
+    thresholds = (-np.log(rng.random(schedule.iterations)) * schedule.temperatures()).tolist()
+    floor = float(np.finfo(np.float64).smallest_subnormal)
+
+    def fits(x):
+        return ref_weight(weights, x[:n]) <= cap
+
+    x = [int(v) for v in initial]
+    feasible = fits(x) or not hycim
+    e = ref_qubo_energy(q, x, offset) if feasible else 0
+    best_e, best_x = e, list(x)
+    evaluations = 0
+    trajectory, proposals = [], []
+    for i, j in enumerate(flips):
+        y = list(x)
+        y[j] ^= 1
+        proposals.append(y)
+        passed = fits(y) or not hycim
+        moved = False
+        if passed:
+            evaluations += 1
+            e_new = ref_qubo_energy(q, y, offset)
+            if e_new < best_e:
+                best_e, best_x = e_new, list(y)
+            if e_new - e < max(thresholds[i], floor):
+                x, e, feasible, moved = y, e_new, True, True
+        elif not feasible:
+            x, moved = y, True
+        trajectory.append((i, e, moved, passed if hycim else fits(x)))
+    items = best_x[:n]
+    value = ref_objective(inst.profits.tolist(), items) if fits(items) else 0
+    return {
+        "best_energy": best_e,
+        "best_config": best_x,
+        "best_qkp_value": value,
+        "evaluations": evaluations,
+        "filter_rejections": schedule.iterations - evaluations,
+        "trajectory": trajectory,
+        "proposals": proposals,
+    }
 
 
 def ref_plane_counts(q, x):

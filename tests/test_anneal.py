@@ -23,7 +23,15 @@ from cimqubo import (
 )
 from cimqubo import anneal
 
-from conftest import make_instance, ref_records_digest, ref_run_seed
+from conftest import (
+    make_instance,
+    ref_anneal,
+    ref_constrained_energy,
+    ref_qubo_energy,
+    ref_records_digest,
+    ref_run_seed,
+    ref_weight,
+)
 
 
 def short(iters=300, t=4.0):
@@ -155,46 +163,51 @@ def test_gated_proposals_consume_iterations_without_evaluation(tiny):
     assert all(not row[2] for row in gated)   # feasible current, so no drift here
 
 
+def replayed(model, schedule, initial, seed):
+    """A recorded run checked against its plain-loop replay, and each of its
+    trajectory rows paired with the proposal it judged."""
+    rec = sa_run(model, schedule=schedule, initial=initial, seed=seed, record_trajectory=True)
+    ref = ref_anneal(model, schedule, initial, seed)
+    assert rec.trajectory == ref["trajectory"]
+    assert rec.evaluations == ref["evaluations"]
+    return rec, list(zip(rec.trajectory, ref["proposals"]))
+
+
+def assert_hycim_gate(model, rec, rows):
+    inst = model.instance
+    for (_, energy, moved, passed), proposal in rows:
+        # the gate passes exactly the proposals within capacity
+        assert passed == (ref_weight(inst.weights.tolist(), proposal) <= inst.capacity)
+        if moved and passed:
+            assert energy == ref_constrained_energy(model, proposal)
+    assert rec.evaluations == sum(row[3] for row, _ in rows)
+
+
 def test_every_hycim_evaluation_is_feasible(tiny):
     model = build_inequality_qubo(tiny)
-    seen = []
-    rec = sa_run(
-        model,
-        schedule=short(),
-        initial=[0, 0, 0],
-        seed=7,
-        on_evaluate=lambda x, e: seen.append((list(x), e)),
-    )
-    assert len(seen) == rec.evaluations
-    for x, e in seen:
-        assert qkp_weight(tiny, x) <= tiny.capacity
-        assert e == -qkp_objective(tiny, x)
+    rec, rows = replayed(model, short(), [0, 0, 0], 7)
+    assert rec.filter_rejections > 0
+    assert_hycim_gate(model, rec, rows)
 
 
 def test_every_hycim_evaluation_is_feasible_at_scale():
     inst = generate_instance(15, density=0.5, wmax=20, pmax=30, seed=9)
     model = build_inequality_qubo(inst)
-    seen = []
-    sa_run(model, schedule=short(), initial=[0] * 15, seed=11,
-           on_evaluate=lambda x, e: seen.append(list(x)))
-    assert seen
-    assert all(qkp_weight(inst, x) <= inst.capacity for x in seen)
+    rec, rows = replayed(model, short(), [0] * 15, 11)
+    assert rec.evaluations
+    assert_hycim_gate(model, rec, rows)
 
 
 def test_dqubo_evaluations_match_matrix_energy(tiny):
     model = build_dqubo(tiny)
-    seen = []
-    rec = sa_run(
-        model,
-        schedule=short(t=100.0),
-        initial=[0] * 12,
-        seed=13,
-        on_evaluate=lambda x, e: seen.append((list(x), e)),
-    )
+    rec, rows = replayed(model, short(t=100.0), [0] * 12, 13)
     assert rec.filter_rejections == 0
     assert rec.evaluations == 300
-    for x, e in seen:
-        assert e == model.qubo.energy(x)
+    q = model.qubo.q.tolist()
+    accepted = [(row[1], proposal) for row, proposal in rows if row[2]]
+    assert accepted
+    for energy, proposal in accepted:
+        assert energy == ref_qubo_energy(q, proposal, model.qubo.offset)
 
 
 def test_infeasible_start_drifts_at_zero_energy():

@@ -7,7 +7,6 @@ import pytest
 
 from cimqubo import (
     ConfigurationError,
-    FilterConfig,
     ValidationError,
     filter_study,
     filter_suite,
@@ -79,11 +78,6 @@ def test_overhead_saving_grows_with_capacity():
         inst = make_instance(profits, weights, cap)
         savings.append(overhead_report(inst).saving_fraction)
     assert savings == sorted(savings)
-
-
-def test_overhead_custom_filter_rows(tiny):
-    rep = overhead_report(tiny, filter_config=FilterConfig(rows=8))
-    assert rep.hycim_cells == 2 * 8 * 3 + 9 * rep.hycim_bits
 
 
 # ------------------------------------------------------- success studies

@@ -7,10 +7,14 @@ import pytest
 
 from cimqubo import (
     DEFAULT_PENALTY,
+    AnnealSchedule,
+    FilterConfig,
     batch_solve,
     build_dqubo,
     build_inequality_qubo,
     default_schedule,
+    filter_study,
+    generate_instance,
     load_instance,
     overhead_report,
     parse_instance,
@@ -164,15 +168,57 @@ def test_solve_t_start_alone_keeps_the_default_cooling_ratio(tiny_path):
     assert schedule.t_end / schedule.t_start == default.t_end / default.t_start
 
 
+def library_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
 def test_penalty_defaults_agree_with_the_library(tiny_path):
-    parser = build_parser()
-    for argv in (["transform", tiny_path, "--mode", "dqubo"], ["solve", tiny_path],
-                 ["overhead", tiny_path], ["bench", tiny_path]):
-        args = parser.parse_args(argv)
-        assert (args.alpha, args.beta) == (DEFAULT_PENALTY, DEFAULT_PENALTY), argv[0]
+    """Penalty first, then every other CLI option that has a library
+    counterpart: each defaults to the library's value."""
     for fn in (build_dqubo, batch_solve, overhead_report, success_rate_study):
         params = inspect.signature(fn).parameters
         assert params["alpha"].default == params["beta"].default == DEFAULT_PENALTY, fn.__name__
+    iterations = library_default(default_schedule, "iterations")
+    assert AnnealSchedule().iterations == iterations
+    filter_defaults = FilterConfig()
+    counterparts = {
+        ("gen", "--n", "5"): {
+            dest: library_default(generate_instance, dest)
+            for dest in ("density", "wmax", "pmax", "cap_ratio", "seed")
+        },
+        ("transform", tiny_path, "--mode", "dqubo"): {
+            "alpha": library_default(build_dqubo, "alpha"),
+            "beta": library_default(build_dqubo, "beta"),
+        },
+        ("overhead", tiny_path): {
+            "alpha": library_default(overhead_report, "alpha"),
+            "beta": library_default(overhead_report, "beta"),
+        },
+        ("filter-eval", tiny_path): {
+            "rows": filter_defaults.rows,
+            "levels": filter_defaults.levels_per_cell,
+            "noise_sigma": filter_defaults.noise_sigma,
+            "seed": library_default(filter_study, "seed"),
+        },
+        ("solve", tiny_path): {
+            "backend": library_default(batch_solve, "backend"),
+            "seed": library_default(batch_solve, "master_seed"),
+            "alpha": library_default(batch_solve, "alpha"),
+            "beta": library_default(batch_solve, "beta"),
+            "noise_sigma": library_default(batch_solve, "crossbar_noise_sigma"),
+            "jobs": library_default(batch_solve, "jobs"),
+            "iterations": iterations,
+        },
+        ("bench", tiny_path): {
+            dest: library_default(success_rate_study, name)
+            for dest, name in (("seed", "master_seed"), ("iterations", "iterations"),
+                               ("alpha", "alpha"), ("beta", "beta"), ("jobs", "jobs"))
+        },
+    }
+    parser = build_parser()
+    for argv, defaults in counterparts.items():
+        args = vars(parser.parse_args(argv))
+        assert {dest: args[dest] for dest in defaults} == defaults, argv[0]
 
 
 # ------------------------------------------------------- filter-eval

@@ -1,4 +1,4 @@
-"""Bit-plane programming, vector-matrix-vector reads, linearity."""
+"""Bit-plane programming and vector-matrix-vector reads."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from cimqubo import (
     QuboMatrix,
     ValidationError,
-    linearity_sweep,
     program_crossbar,
     quantization_info,
     vmv_energy,
@@ -72,9 +71,7 @@ def test_program_round_trips_across_word_boundaries():
         model = program_crossbar(q)
         assert model.reconstruct() == q
         programmed = sum(bin(abs(v)).count("1") for row in q.q.tolist() for v in row)
-        assert linearity_sweep(model, programmed)[-1] == (programmed, float(programmed))
-        with pytest.raises(ValidationError, match=f"only {programmed} cells"):
-            linearity_sweep(model, programmed + 1)
+        assert np.bitwise_count(model.rows).sum() == programmed
 
 
 def test_programmed_bits_cover_quantization_width():
@@ -188,26 +185,3 @@ def test_noisy_read_variance_follows_plane_weights():
     assert abs(errors.mean()) < 4 * np.sqrt(want / 4000)
     # the sample variance of 4000 normal draws is within 10 % with overwhelming odds
     assert errors.var() == pytest.approx(want, rel=0.1)
-
-
-# ------------------------------------------------------- linearity
-
-def test_linearity_sweep_noiseless_is_identity():
-    model = program_crossbar(q2())
-    series = linearity_sweep(model, max_cells=6)
-    assert series == [(k, float(k)) for k in range(7)]
-
-
-def test_linearity_sweep_bounds_programmed_cells():
-    with pytest.raises(ValidationError, match="only 6"):
-        linearity_sweep(program_crossbar(q2()), max_cells=7)
-
-
-def test_linearity_sweep_noisy_slope_near_unity():
-    model = program_crossbar(q2(), noise_sigma=0.05)
-    rng = np.random.default_rng(44)
-    slopes = []
-    for _ in range(30):
-        series = np.array(linearity_sweep(model, max_cells=6, rng=rng))
-        slopes.append(np.polyfit(series[:, 0], series[:, 1], 1)[0])
-    assert abs(np.mean(slopes) - 1.0) < 0.05

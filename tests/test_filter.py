@@ -1,4 +1,4 @@
-"""Ternary-cell weight planes, replica comparison, feasibility decisions."""
+"""Multi-level weight planes, replica comparison, feasibility decisions."""
 
 import itertools
 
@@ -177,13 +177,6 @@ def test_filter_matches_inequality_at_scale():
         assert filter_check(model, cfg).feasible == expect
 
 
-def test_comparator_offset_tightens_the_boundary():
-    strict = FilterConfig(comparator_offset=1e-6)
-    model = build_filter([4, 7, 2], 9, strict)
-    assert not filter_check(model, [0, 1, 1]).feasible   # exact tie now fails
-    assert filter_check(model, [1, 0, 1]).feasible
-
-
 # ------------------------------------------------------- noise
 
 def test_noise_is_reproducible_and_unbiased():
@@ -252,7 +245,7 @@ def test_sample_balanced_unique_and_deterministic(tiny):
 def test_sample_balanced_reports_shortfall():
     # capacity covers the whole ground set, so no infeasible configuration exists
     with pytest.raises(SamplingError) as err:
-        sample_balanced_configs([1, 1, 1], 10, 2, 2, seed=0, max_attempts=2000)
+        sample_balanced_configs([1, 1, 1], 10, 2, 2, seed=0)
     assert err.value.infeasible_found == 0
     assert err.value.feasible_found == 2
 

@@ -1,5 +1,5 @@
 """Property tests of the lockstep annealer, the penalty coefficient
-formulas, the packed crossbar read, the noiseless filter, the QUBO file
+formulas and their soundness, the packed crossbar read, the noiseless filter, the QUBO file
 round trip, the instance file round trip and the exhaustive oracle on
 random instances and matrices."""
 
@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cimqubo import (
@@ -36,6 +36,7 @@ from cimqubo import (
 
 from conftest import (
     make_instance,
+    ref_anneal,
     ref_enumerate,
     ref_initials,
     ref_plane_counts,
@@ -93,6 +94,31 @@ def test_noiseless_array_backend_equals_exact(inst, mode, master):
     assert runs[0] == runs[1]
 
 
+@settings(max_examples=100, deadline=None)
+@given(inst=instances(), mode=st.sampled_from(sorted(BUILDS)),
+       backend=st.sampled_from(["exact-software", "behavioral-cim"]),
+       iterations=st.integers(1, 200), t_start=st.floats(1e-9, 1e9),
+       cooling=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1),
+       bits=st.lists(st.integers(0, 1), min_size=32, max_size=32))
+# frozen and boiling schedules from an over-weight start, where hycim drifts first
+@example(inst=make_instance([[3, 1], [1, 2]], [2, 3], 4), mode="hycim", backend="exact-software",
+         iterations=40, t_start=1e-9, cooling=1.0, seed=5, bits=[1] * 32)
+@example(inst=make_instance([[3, 1], [1, 2]], [2, 3], 4), mode="dqubo", backend="exact-software",
+         iterations=40, t_start=1e9, cooling=1.0, seed=5, bits=[1] * 32)
+def test_lockstep_run_equals_plain_loop_replay(inst, mode, backend, iterations, t_start,
+                                               cooling, seed, bits):
+    problem = BUILDS[mode](inst)
+    initial = bits[: problem.qubo.dim]
+    schedule = AnnealSchedule(iterations=iterations, t_start=t_start, t_end=t_start * cooling)
+    rec = sa_run(problem, backend=backend, schedule=schedule, initial=initial, seed=seed,
+                 record_trajectory=True)
+    ref = ref_anneal(problem, schedule, initial, seed)
+    assert rec.best_config.tolist() == ref["best_config"]
+    assert rec.trajectory == ref["trajectory"]
+    for name in ("best_energy", "best_qkp_value", "evaluations", "filter_rejections"):
+        assert getattr(rec, name) == ref[name], name
+
+
 @common
 @given(inst=instances(), alpha=st.integers(1, 300), beta=st.integers(1, 20))
 # n = 1 and C = 1 with alpha > beta: the slack diagonal |beta - alpha| is the peak
@@ -127,6 +153,32 @@ def test_packed_read_counts_match_plain_loops(dim, signs, fill, peak, seed):
     assert reading.exact_value == ref_qubo_energy(q.q.tolist(), x.tolist(), q.offset)
     assert reading.value == reading.exact_value
     assert reading.activated_cells == sum(ref_plane_counts(q.q.tolist(), x.tolist()))
+
+
+@st.composite
+def sound_penalty_instances(draw):
+    """n + C <= 16, so all 2^(n + C) penalty configurations can be scored,
+    with at least one item that fits on its own."""
+    n = draw(st.integers(1, 8))
+    capacity = draw(st.integers(1, 16 - n))
+    upper = np.array(draw(st.lists(st.integers(0, 30), min_size=n * n, max_size=n * n))).reshape(n, n)
+    profits = np.triu(upper) + np.triu(upper, k=1).T
+    weights = draw(st.lists(st.integers(1, 2 * capacity), min_size=n, max_size=n))
+    assume(min(weights) <= capacity)
+    return make_instance(profits, weights, capacity, name="sound")
+
+
+@common
+@given(inst=sound_penalty_instances())
+def test_dqubo_ground_state_is_the_optimum_at_sound_penalties(inst):
+    # every violated constraint costs at least min(alpha, beta), above the total profit
+    penalty = int(inst.profits.sum()) + 1
+    qubo = build_dqubo(inst, penalty, penalty).qubo
+    configs = (np.arange(2**qubo.dim)[:, None] >> np.arange(qubo.dim)) & 1
+    energies = ((configs @ qubo.q) * configs).sum(axis=1) + qubo.offset
+    ground = configs[energies == energies.min(), : inst.n]
+    assert (ground @ inst.weights <= inst.capacity).all()
+    assert energies.min() == -brute_force_oracle(inst).best_value
 
 
 @st.composite

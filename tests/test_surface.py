@@ -1,4 +1,9 @@
-"""The package's public surface: every exported name resolves, once."""
+"""The package's public surface: every exported name resolves, once, and
+every option and import has a use."""
+
+import ast
+import inspect
+from pathlib import Path
 
 import numpy as np
 
@@ -8,6 +13,22 @@ from cimqubo import anneal, bench, cli, crossbar_sim, filter_sim, qkp, transform
 REMOVED = {
     "IsingModel", "ising_to_qubo", "qubo_to_ising", "classification_accuracy",
     "report_filename", "_parse_transform_mode", "_dqubo_max_abs", "SignedPlanes",
+    "constrained_energy", "linearity_sweep",
+}
+
+# the full parameter lists of the functions that lost an option: the option
+# is gone and nothing took its place
+PARAMETERS = {
+    anneal.sa_run: ["problem", "backend", "schedule", "initial", "seed", "filter_config",
+                    "crossbar_noise_sigma", "record_trajectory"],
+    bench.success_rate_study: ["instance", "num_initials", "runs_per_initial", "master_seed",
+                               "iterations", "alpha", "beta", "best_known", "jobs"],
+    bench.filter_suite: ["instances", "configs_per_instance", "seed"],
+    bench.overhead_report: ["instance", "alpha", "beta"],
+    filter_sim.sample_balanced_configs: ["weights", "capacity", "num_feasible",
+                                         "num_infeasible", "seed"],
+    qkp.load_instance: ["path"],
+    qkp.save_instance: ["instance", "path"],
 }
 
 
@@ -29,6 +50,32 @@ def test_removed_names_are_gone():
     assert not hasattr(qkp.QkpInstance, "vacuous_constraint")
     assert "sign" not in crossbar_sim.CrossbarModel.__dataclass_fields__
     assert not hasattr(crossbar_sim.CrossbarModel, "planes")
+
+
+def test_removed_options_are_gone():
+    for fn, params in PARAMETERS.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
+    assert list(filter_sim.FilterConfig.__dataclass_fields__) == [
+        "rows", "levels_per_cell", "vdd", "unit_drop", "noise_sigma"]
+
+
+def test_modules_have_no_unused_imports():
+    for path in sorted(Path(cimqubo.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                        if name not in used)
+        assert not unused, f"{path.name}: {unused}"
 
 
 def test_programmed_quantities_are_stored_once():

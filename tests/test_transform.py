@@ -11,8 +11,8 @@ from cimqubo import (
     QuboMatrix,
     ValidationError,
     build_dqubo,
+    brute_force_oracle,
     build_inequality_qubo,
-    constrained_energy,
     dump_qubo_json,
     generate_instance,
     load_qubo_json,
@@ -20,7 +20,7 @@ from cimqubo import (
     quantization_info,
 )
 
-from conftest import make_instance, ref_dqubo_energy, ref_objective
+from conftest import make_instance, ref_constrained_energy, ref_dqubo_energy, ref_objective
 
 
 # ------------------------------------------------------- inequality mode
@@ -33,11 +33,12 @@ def test_inequality_negates_profits(pair):
 
 
 def test_constrained_energy_gates_on_weight(tiny):
+    # the gated energy the annealer replay scores hycim moves with
     model = build_inequality_qubo(tiny)
-    assert constrained_energy(model, [1, 0, 1]) == -9
-    assert constrained_energy(model, [0, 1, 1]) == -9   # weight 9, boundary counts
-    assert constrained_energy(model, [1, 1, 0]) == 0    # weight 11, gated out
-    assert constrained_energy(model, [0, 0, 0]) == 0
+    assert ref_constrained_energy(model, [1, 0, 1]) == model.qubo.energy([1, 0, 1]) == -9
+    assert ref_constrained_energy(model, [0, 1, 1]) == -9   # weight 9, boundary counts
+    assert ref_constrained_energy(model, [1, 1, 0]) == 0    # weight 11, gated out
+    assert ref_constrained_energy(model, [0, 0, 0]) == 0
 
 
 def test_inequality_energy_is_negated_objective():
@@ -131,6 +132,25 @@ def test_dqubo_empty_knapsack_artifact(tiny):
             for y in itertools.product((0, 1), repeat=9)
         ]
         assert min(penalties) == min(a, b)
+
+
+def test_default_penalty_ground_state_is_over_weight():
+    # alpha = beta = 2 is below the profit an over-weight selection gains, so
+    # the penalty ground state takes all 7 items and the slacks 7 and 8
+    inst = generate_instance(7, density=0.5, wmax=4, pmax=10, cap_ratio=0.5, seed=0)
+    assert inst.weights.tolist() == [4, 3, 3, 2, 2, 1, 1]
+    assert inst.capacity == 8
+    qubo = build_dqubo(inst).qubo
+    configs = (np.arange(2**qubo.dim)[:, None] >> np.arange(qubo.dim)) & 1
+    energies = ((configs @ qubo.q) * configs).sum(axis=1) + qubo.offset
+    ground = np.flatnonzero(energies == energies.min())
+    assert ground.size == 1
+    x = configs[ground[0]]
+    assert x.tolist() == [1] * 7 + [0] * 6 + [1, 1]
+    assert energies.min() == -148
+    assert qkp_objective(inst, x[:7]) == 152
+    assert int(inst.weights @ x[:7]) == 16
+    assert brute_force_oracle(inst).best_value == 80
 
 
 def test_dqubo_rejects_bad_penalty_weights(tiny):
