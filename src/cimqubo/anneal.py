@@ -145,6 +145,8 @@ class _Context:
             raise ConfigurationError(f"unknown backend {backend!r}")
         if crossbar_noise_sigma and backend != BACKEND_CIM:
             raise ConfigurationError("crossbar_noise_sigma needs the behavioral-cim backend")
+        if filter_config is not None and backend != BACKEND_CIM:
+            raise ConfigurationError("filter_config needs the behavioral-cim backend")
         qubo = problem.qubo
         bound = qubo.energy_bound()
         # the vectorized Metropolis test compares int64 energy changes with

@@ -165,7 +165,7 @@ def success_rate_study(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterCase:
     instance: str
     config_id: int

@@ -144,8 +144,7 @@ def _cmd_solve(args) -> int:
     else:
         problem = build_dqubo(inst, args.alpha, args.beta)
     schedule = _schedule_from_args(args, problem)
-    filter_cfg = FilterConfig(noise_sigma=args.noise_sigma) if args.backend == BACKEND_CIM else None
-    xbar_sigma = args.noise_sigma if args.backend == BACKEND_CIM else 0.0
+    filter_cfg = FilterConfig(noise_sigma=args.noise_sigma) if args.noise_sigma else None
     if args.trajectory:
         if args.initials != 1 or args.runs != 1:
             raise ConfigurationError("--trajectory needs --initials 1 --runs 1")
@@ -153,7 +152,7 @@ def _cmd_solve(args) -> int:
         record = sa_run(
             problem, backend=args.backend, schedule=schedule, initial=initial,
             seed=_derived_seed(args.seed, 0, 0), filter_config=filter_cfg,
-            crossbar_noise_sigma=xbar_sigma, record_trajectory=True,
+            crossbar_noise_sigma=args.noise_sigma, record_trajectory=True,
         )
         write_trajectory_csv(record, args.trajectory)
         records = [record]
@@ -162,7 +161,7 @@ def _cmd_solve(args) -> int:
             inst, args.mode, args.initials, args.runs, schedule=schedule,
             backend=args.backend, master_seed=args.seed, alpha=args.alpha,
             beta=args.beta, filter_config=filter_cfg,
-            crossbar_noise_sigma=xbar_sigma, jobs=args.jobs,
+            crossbar_noise_sigma=args.noise_sigma, jobs=args.jobs,
         )
     best = max(records, key=lambda r: r.best_qkp_value)
     values = [r.best_qkp_value for r in records]

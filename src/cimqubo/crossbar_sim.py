@@ -47,7 +47,7 @@ class CrossbarModel:
         return QuboMatrix(np.tensordot(self.scale, cells.astype(np.int64), 1), offset=self.offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyReading:
     value: float
     exact_value: int

@@ -1,20 +1,23 @@
 """Behavioral model of the multi-level inequality filter array.
 
-Item weights are decomposed over the rows of a column: each cell stores a
-discrete level in [0, levels_per_cell] and a column's levels sum to its item
-weight.  Driving input x discharges the matchline by unit_drop volts per unit
-of selected weight, so the matchline sits at vdd - unit_drop * sum(w_i x_i),
-clamped at zero.  A replica column set stores exactly the capacity and its
-matchline is the comparison reference: the working matchline at or above the
-replica means the configuration is feasible.  Gaussian noise, when enabled,
-multiplies every unit conduction event on the working side; the replica is
-read noiselessly.
+The model keeps what decides a verdict: the column weights of the working
+array and the matchline of its replica column.  Driving input x discharges
+the working matchline by unit_drop volts per unit of selected weight, so it
+sits at vdd - unit_drop * sum(w_i x_i), clamped at zero.  The replica stores
+exactly the capacity and its matchline is the comparison reference: the
+working matchline at or above the replica means the configuration is
+feasible.  Gaussian noise, when enabled, multiplies every unit conduction
+event on the working side; the replica is read noiselessly.
+
+Each weight is programmed over the rows of one column, every cell holding a
+level in [0, levels_per_cell], and the replica spreads the capacity over as
+many columns as there are items.  That multi-level geometry is a programming
+constraint, which build_filter checks; it does not change a read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -49,49 +52,10 @@ class FilterConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightPlane:
-    """rows x columns cell levels; column sums are the stored weights."""
-
-    cells: np.ndarray
-
-    def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64)
-        if cells.ndim != 2:
-            raise ValidationError("cells", f"expected a 2-d array, got shape {cells.shape}")
-        if cells.size and int(cells.min()) < 0:
-            raise ValidationError("cells", "levels must be nonnegative")
-        cells.setflags(write=False)
-        object.__setattr__(self, "cells", cells)
-
-    @property
-    def rows(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def columns(self) -> int:
-        return self.cells.shape[1]
-
-    @cached_property
-    def column_weights(self) -> np.ndarray:
-        weights = self.cells.sum(axis=0)
-        weights.setflags(write=False)
-        return weights
-
-
-@dataclass(frozen=True, eq=False)
-class ReplicaConfig:
-    """Replica plane plus the fixed input that selects exactly the capacity."""
-
-    plane: WeightPlane
-    fixed_input: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class FilterModel:
-    """Working plane, replica, and resolved electrical configuration."""
+    """Working column weights, resolved electrical configuration, replica matchline."""
 
-    working: WeightPlane
-    replica: ReplicaConfig
+    weights: np.ndarray
     config: FilterConfig
     replica_ml: float
 
@@ -103,9 +67,18 @@ class FilterDecision:
     feasible: bool
 
 
-def decompose_weights(weights, config: FilterConfig = FilterConfig()) -> WeightPlane:
-    """Split weights over rows greedily: top cells take full levels, one remainder."""
-    w = np.asarray(weights, dtype=np.int64)
+def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) -> FilterModel:
+    """Check that the weights and the capacity fit the array and resolve the
+    drop per weight unit.
+
+    Every weight must fit one column of rows x levels_per_cell, and the
+    capacity the replica's n columns.  When unit_drop is not set it defaults
+    to vdd / (2 * max(capacity, max w)), placing the replica matchline
+    mid-rail.  A replica matchline discharged to zero would tie with every
+    over-weight input, and so would one that a weight of capacity + 1 leaves
+    at the same float64 value; both raise ConfigurationError.
+    """
+    w = np.array(weights, dtype=np.int64)
     if w.ndim != 1:
         raise ValidationError("weights", f"expected a vector, got shape {w.shape}")
     budget = config.column_budget
@@ -117,52 +90,18 @@ def decompose_weights(weights, config: FilterConfig = FilterConfig()) -> WeightP
                 f"weights[{i}] = {wi} exceeds the {config.rows} x {config.levels_per_cell} "
                 f"column budget {budget}; increase rows"
             )
-    k = config.levels_per_cell
-    full = w // k
-    rem = w % k
-    levels = np.arange(config.rows, dtype=np.int64)[:, None]
-    cells = np.where(levels < full, k, np.where(levels == full, rem, 0))
-    return WeightPlane(cells=cells.astype(np.int64))
-
-
-def build_replica(capacity: int, columns: int, config: FilterConfig = FilterConfig()) -> ReplicaConfig:
-    """Spread the capacity over replica columns left to right, one budget at a time."""
     if capacity < 1:
         raise ValidationError("capacity", f"must be >= 1, got {capacity}")
-    budget = config.column_budget
+    columns = w.shape[0]
     if capacity > columns * budget:
         raise CapacityError(
             f"capacity {capacity} exceeds the replica total budget {columns * budget} "
             f"({columns} columns x {budget})"
         )
-    col_weights = np.zeros(columns, dtype=np.int64)
-    remaining = capacity
-    i = 0
-    while remaining > 0:
-        take = min(remaining, budget)
-        col_weights[i] = take
-        remaining -= take
-        i += 1
-    plane = decompose_weights(col_weights, config)
-    fixed_input = (col_weights > 0).astype(np.int8)
-    return ReplicaConfig(plane=plane, fixed_input=fixed_input)
-
-
-def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) -> FilterModel:
-    """Assemble working and replica planes and resolve the drop per weight unit.
-
-    When unit_drop is not set it defaults to vdd / (2 * max(capacity, max w)),
-    placing the replica matchline mid-rail.  A replica matchline discharged to
-    zero would tie with every over-weight input, and so would one that a
-    weight of capacity + 1 leaves at the same float64 value; both raise
-    ConfigurationError.
-    """
-    w = np.asarray(weights, dtype=np.int64)
+    w.setflags(write=False)
     if config.unit_drop is None:
         scale = max(int(capacity), int(w.max()) if w.size else 1, 1)
         config = replace(config, unit_drop=config.vdd / (2.0 * scale))
-    working = decompose_weights(w, config)
-    rep = build_replica(capacity, working.columns, config)
     replica_ml = config.vdd - config.unit_drop * float(int(capacity))
     if replica_ml <= 0:
         raise ConfigurationError(
@@ -174,33 +113,26 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
             f"unit_drop {config.unit_drop} is below the float64 resolution of vdd {config.vdd}: "
             f"weights {capacity} and {int(capacity) + 1} give the same matchline"
         )
-    return FilterModel(working=working, replica=rep, config=config, replica_ml=replica_ml)
+    return FilterModel(weights=w, config=config, replica_ml=replica_ml)
 
 
-def evaluate_ml(plane: WeightPlane, x, config: FilterConfig, rng=None) -> float:
-    """Matchline voltage for input x, clamped at zero.
+def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
+    """Compare the working matchline against the noiseless replica; ties pass.
 
-    With noise enabled every unit conduction event drops unit_drop * (1 + eta)
-    with eta ~ N(0, noise_sigma); the number of events equals the selected
-    weight sum wsum, so the events' perturbations add up to one Gaussian draw
-    scaled by noise_sigma * sqrt(wsum).
+    The working matchline is clamped at zero.  With noise enabled every unit
+    conduction event drops unit_drop * (1 + eta) with eta ~ N(0, noise_sigma);
+    the number of events equals the selected weight sum wsum, so the events'
+    perturbations add up to one Gaussian draw scaled by noise_sigma * sqrt(wsum).
     """
-    if config.unit_drop is None:
-        raise ConfigurationError("unit_drop is unresolved; build the model or set it explicitly")
-    bits = as_bits(x, plane.columns)
-    wsum = int(plane.column_weights @ bits)
+    config = model.config
+    wsum = int(model.weights @ as_bits(x, model.weights.shape[0]))
     drop = config.unit_drop * float(wsum)
     if config.noise_sigma > 0 and wsum > 0:
         eta = _as_rng(rng).standard_normal() * config.noise_sigma * math.sqrt(wsum)
         drop += config.unit_drop * float(eta)
-    return max(0.0, config.vdd - drop)
-
-
-def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
-    """Compare the working matchline against the noiseless replica; ties pass."""
-    working = evaluate_ml(model.working, x, model.config, rng)
-    feasible = working >= model.replica_ml
-    return FilterDecision(working_ml=working, replica_ml=model.replica_ml, feasible=bool(feasible))
+    working = max(0.0, config.vdd - drop)
+    return FilterDecision(working_ml=working, replica_ml=model.replica_ml,
+                          feasible=bool(working >= model.replica_ml))
 
 
 def sample_balanced_configs(

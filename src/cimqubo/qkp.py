@@ -221,13 +221,10 @@ def _parse_json(text: str) -> QkpInstance:
     if len(upper) != n * (n - 1) // 2:
         raise ParseError(1, f"profits_upper has {len(upper)} entries, expected {n * (n - 1) // 2}")
     profits = np.zeros((n, n), dtype=np.int64)
+    iu = np.triu_indices(n, k=1)
+    profits[iu] = upper
+    profits = profits + profits.T
     np.fill_diagonal(profits, diag)
-    pos = 0
-    for i in range(n - 1):
-        row = upper[pos:pos + n - 1 - i]
-        pos += n - 1 - i
-        profits[i, i + 1:] = row
-        profits[i + 1:, i] = row
     return QkpInstance(
         name=doc["name"],
         n=n,
@@ -248,14 +245,6 @@ def parse_instance(source, fmt: str = TEXT_FORMAT) -> QkpInstance:
     raise ValidationError("format", f"unknown format {fmt!r}")
 
 
-def _upper_triangle(profits: np.ndarray) -> list[int]:
-    n = profits.shape[0]
-    out = []
-    for i in range(n - 1):
-        out.extend(profits[i, i + 1:].tolist())
-    return out
-
-
 def dump_instance(instance: QkpInstance, fmt: str = TEXT_FORMAT) -> str:
     if fmt == TEXT_FORMAT:
         lines = [instance.name, str(instance.n)]
@@ -270,7 +259,7 @@ def dump_instance(instance: QkpInstance, fmt: str = TEXT_FORMAT) -> str:
             "name": instance.name,
             "n": instance.n,
             "profits_diag": np.diagonal(instance.profits).tolist(),
-            "profits_upper": _upper_triangle(instance.profits),
+            "profits_upper": instance.profits[np.triu_indices(instance.n, k=1)].tolist(),
             "capacity": instance.capacity,
             "weights": instance.weights.tolist(),
         }

@@ -6,6 +6,7 @@ the vectorized production code they are checking.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ def ref_constrained_energy(model, x):
     if ref_weight(inst.weights.tolist(), x) > inst.capacity:
         return 0
     return ref_qubo_energy(model.qubo.q.tolist(), x, model.qubo.offset)
+
+
+def ref_filter_check(weights, capacity, config, x, rng):
+    """Working matchline and verdict of one filter read, replayed by hand.
+
+    The matchline is max(0, vdd - (d * wsum + d * g * sigma * sqrt(wsum)))
+    with d the unit drop (vdd / (2 * max(C, max w, 1)) when unset) and g one
+    standard normal drawn from rng only when sigma > 0 and wsum > 0.  The
+    input is feasible when that is at or above the replica, vdd - d * C.
+    """
+    drop = config.unit_drop
+    if drop is None:
+        drop = config.vdd / (2.0 * max(capacity, max(weights, default=1), 1))
+    wsum = ref_weight(weights, x)
+    noise = 0.0
+    if config.noise_sigma > 0 and wsum > 0:
+        noise = drop * (rng.standard_normal() * config.noise_sigma * math.sqrt(wsum))
+    working = max(0.0, config.vdd - (drop * wsum + noise))
+    return working, working >= config.vdd - drop * capacity
 
 
 def ref_anneal(problem, schedule, initial, seed):

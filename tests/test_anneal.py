@@ -103,6 +103,25 @@ def test_crossbar_noise_needs_behavioral_backend(tiny):
         )
 
 
+def test_filter_config_needs_behavioral_backend(tiny):
+    with pytest.raises(ConfigurationError, match="filter_config"):
+        sa_run(
+            build_inequality_qubo(tiny),
+            initial=[0, 0, 0],
+            filter_config=FilterConfig(noise_sigma=0.5),
+        )
+
+
+def test_batch_filter_config_needs_behavioral_backend(tiny):
+    noisy = FilterConfig(noise_sigma=0.5)
+    with pytest.raises(ConfigurationError, match="filter_config"):
+        batch_solve(tiny, "hycim", 1, 1, schedule=short(), filter_config=noisy)
+    # dqubo never gates: its behavioral runs accept a filter setting and do not read it
+    kept = batch_solve(tiny, "dqubo", 1, 2, schedule=short(), backend="behavioral-cim",
+                       filter_config=noisy)
+    assert kept == batch_solve(tiny, "dqubo", 1, 2, schedule=short(), backend="behavioral-cim")
+
+
 def test_run_is_deterministic(tiny):
     model = build_inequality_qubo(tiny)
     a = sa_run(model, schedule=short(), initial=[0, 0, 0], seed=5, record_trajectory=True)

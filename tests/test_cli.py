@@ -136,6 +136,13 @@ def test_solve_behavioral_backend_with_noise(tiny_path, capsys):
     assert "backend=behavioral-cim" in capsys.readouterr().out
 
 
+def test_solve_noise_needs_behavioral_backend(tiny_path, capsys):
+    code = main(["solve", tiny_path, "--noise-sigma", "0.3", "--initials", "1",
+                 "--runs", "1", "--iters", "50"])
+    assert code == 1
+    assert "needs the behavioral-cim backend" in capsys.readouterr().err
+
+
 def test_solve_trajectory(tiny_path, tmp_path, capsys):
     traj = tmp_path / "t.csv"
     code = main(["solve", tiny_path, "--initials", "1", "--runs", "1",

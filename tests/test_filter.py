@@ -1,4 +1,4 @@
-"""Multi-level weight planes, replica comparison, feasibility decisions."""
+"""Array geometry checks, matchline voltages, replica comparison, feasibility decisions."""
 
 import itertools
 
@@ -12,9 +12,6 @@ from cimqubo import (
     SamplingError,
     ValidationError,
     build_filter,
-    build_replica,
-    decompose_weights,
-    evaluate_ml,
     filter_check,
     filter_study,
     generate_instance,
@@ -24,98 +21,52 @@ from cimqubo import (
 from conftest import make_instance
 
 
-# ------------------------------------------------------- weight decomposition
+# ------------------------------------------------------- array geometry
 
-def test_decompose_seven():
-    plane = decompose_weights([7])
-    col = plane.cells[:, 0].tolist()
-    assert col == [4, 3] + [0] * 14
-
-
-def test_decompose_full_budget():
-    plane = decompose_weights([64])
-    assert plane.cells[:, 0].tolist() == [4] * 16
+def test_build_filter_rejects_a_weight_over_the_column_budget():
     assert FilterConfig().column_budget == 64
-
-
-def test_decompose_overweight_raises():
+    assert build_filter([64], 64).weights.tolist() == [64]
     with pytest.raises(CapacityError, match="weights\\[0\\] = 65"):
-        decompose_weights([65])
-
-
-def test_decompose_zero_weight_column():
-    plane = decompose_weights([0, 5])
-    assert plane.cells[:, 0].tolist() == [0] * 16
-    assert plane.column_weights.tolist() == [0, 5]
-
-
-def test_decompose_column_sums_and_greedy_shape():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        w = rng.integers(0, 65, size=12)
-        plane = decompose_weights(w)
-        assert plane.column_weights.tolist() == w.tolist()
-        for col in plane.cells.T:
-            c = col.tolist()
-            # full levels first, at most one partial cell, zeros after
-            assert c == sorted(c, reverse=True)
-            assert sum(1 for v in c if 0 < v < 4) <= 1
-
-
-def test_decompose_respects_custom_geometry():
+        build_filter([65], 1)
     cfg = FilterConfig(rows=2, levels_per_cell=3)
-    assert decompose_weights([5], cfg).cells[:, 0].tolist() == [3, 2]
+    assert build_filter([6, 0], 6, cfg).weights.tolist() == [6, 0]
     with pytest.raises(CapacityError):
-        decompose_weights([7], cfg)
+        build_filter([7], 1, cfg)
 
 
-# ------------------------------------------------------- replica
-
-def test_replica_capacity_nine():
-    rep = build_replica(9, columns=3)
-    assert rep.plane.cells[:, 0].tolist() == [4, 4, 1] + [0] * 13
-    assert rep.plane.column_weights.tolist() == [9, 0, 0]
-    assert rep.fixed_input.tolist() == [1, 0, 0]
-
-
-def test_replica_spills_into_second_column():
-    rep = build_replica(100, columns=4)
-    assert rep.plane.column_weights.tolist() == [64, 36, 0, 0]
-    assert rep.fixed_input.tolist() == [1, 1, 0, 0]
-
-
-def test_replica_overflow():
+def test_build_filter_rejects_a_capacity_over_the_replica_budget():
     with pytest.raises(CapacityError, match="6401"):
-        build_replica(6401, columns=100)
+        build_filter([1] * 100, 6401)
 
 
-def test_replica_selects_exactly_capacity():
-    rng = np.random.default_rng(23)
-    for _ in range(15):
-        cols = int(rng.integers(1, 20))
-        cap = int(rng.integers(1, cols * 64 + 1))
-        rep = build_replica(cap, columns=cols)
-        assert int(rep.plane.column_weights @ rep.fixed_input) == cap
+def test_build_filter_keeps_a_read_only_copy_of_the_weights():
+    weights = np.array([4, 7, 2])
+    model = build_filter(weights, 9)
+    weights[0] = 60
+    assert model.weights.tolist() == [4, 7, 2]
+    assert model.weights.dtype == np.int64
+    assert not model.weights.flags.writeable
 
 
 # ------------------------------------------------------- matchline voltages
 
 def test_matchline_idle_at_vdd():
     model = build_filter([4, 7, 2], 9)
-    assert evaluate_ml(model.working, [0, 0, 0], model.config) == 2.0
+    assert filter_check(model, [0, 0, 0]).working_ml == 2.0
 
 
 def test_matchline_linear_drop():
     cfg = FilterConfig(unit_drop=0.05)
     model = build_filter([4, 7, 2], 9, cfg)
-    assert evaluate_ml(model.working, [1, 1, 0], model.config) == pytest.approx(1.45)
+    assert filter_check(model, [1, 1, 0]).working_ml == pytest.approx(1.45)
     assert model.replica_ml == pytest.approx(1.55)
     assert not filter_check(model, [1, 1, 0]).feasible
 
 
 def test_matchline_clamps_at_zero():
-    cfg = FilterConfig(unit_drop=1.0)
-    assert evaluate_ml(decompose_weights([3, 3], cfg), [1, 1], cfg) == 0.0
+    model = build_filter([3, 3], 1, FilterConfig(unit_drop=0.5))
+    assert model.replica_ml == 1.5
+    assert filter_check(model, [1, 1]).working_ml == 0.0
 
 
 def test_saturated_replica_is_rejected():
@@ -132,8 +83,8 @@ def test_saturated_replica_is_rejected():
 
 def test_equal_weight_sums_give_equal_voltage():
     model = build_filter([3, 1, 2], 5)
-    a = evaluate_ml(model.working, [1, 0, 0], model.config)
-    b = evaluate_ml(model.working, [0, 1, 1], model.config)
+    a = filter_check(model, [1, 0, 0]).working_ml
+    b = filter_check(model, [0, 1, 1]).working_ml
     assert a == b
 
 
@@ -182,13 +133,13 @@ def test_filter_matches_inequality_at_scale():
 def test_noise_is_reproducible_and_unbiased():
     cfg = FilterConfig(noise_sigma=0.05)
     model = build_filter([4, 7, 2], 9, cfg)
-    a = evaluate_ml(model.working, [1, 1, 1], model.config, rng=np.random.default_rng(5))
-    b = evaluate_ml(model.working, [1, 1, 1], model.config, rng=np.random.default_rng(5))
+    a = filter_check(model, [1, 1, 1], np.random.default_rng(5)).working_ml
+    b = filter_check(model, [1, 1, 1], np.random.default_rng(5)).working_ml
     assert a == b
     clean = build_filter([4, 7, 2], 9)
-    ideal = evaluate_ml(clean.working, [1, 1, 1], clean.config)
+    ideal = filter_check(clean, [1, 1, 1]).working_ml
     rng = np.random.default_rng(7)
-    samples = [evaluate_ml(model.working, [1, 1, 1], model.config, rng) for _ in range(3000)]
+    samples = [filter_check(model, [1, 1, 1], rng).working_ml for _ in range(3000)]
     # per-event sigma 0.05 over 13 events, mean of 3000 draws stays within 4 sigma
     tol = 4 * model.config.unit_drop * 0.05 * np.sqrt(13) / np.sqrt(3000)
     assert abs(np.mean(samples) - ideal) < tol
@@ -199,7 +150,7 @@ def test_matchline_noise_variance_scales_with_weight_sum():
     model = build_filter([4, 7, 2], 9, FilterConfig(noise_sigma=sigma))
     rng = np.random.default_rng(13)
     for x, wsum in (([1, 1, 1], 13), ([0, 1, 0], 7)):
-        samples = np.array([evaluate_ml(model.working, x, model.config, rng) for _ in range(4000)])
+        samples = np.array([filter_check(model, x, rng).working_ml for _ in range(4000)])
         assert samples.min() > 0   # never clamped, so the variance is the noise's
         want = (model.config.unit_drop * sigma) ** 2 * wsum
         assert samples.var() == pytest.approx(want, rel=0.1)

@@ -1,9 +1,10 @@
 """Property tests of the lockstep annealer, the penalty coefficient
-formulas and their soundness, the packed crossbar read, the noiseless filter, the QUBO file
-round trip, the instance file round trip and the exhaustive oracle on
-random instances and matrices."""
+formulas and their soundness, the packed crossbar read, the filter's verdicts,
+matchline replay and array budgets, the QUBO file round trip, the instance
+file round trip and the exhaustive oracle on random instances and matrices."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cimqubo import (
     JSON_FORMAT,
     TEXT_FORMAT,
     AnnealSchedule,
+    CapacityError,
     ConfigurationError,
     FilterConfig,
     QuboMatrix,
@@ -38,6 +40,7 @@ from conftest import (
     make_instance,
     ref_anneal,
     ref_enumerate,
+    ref_filter_check,
     ref_initials,
     ref_plane_counts,
     ref_qubo_energy,
@@ -182,15 +185,17 @@ def test_dqubo_ground_state_is_the_optimum_at_sound_penalties(inst):
 
 
 @st.composite
-def filter_setups(draw):
+def filter_setups(draw, over_budget=False):
     """Weights within one column budget, a capacity the replica can hold and a
     unit drop that keeps the replica matchline off zero (None: the default),
-    or one near the float64 resolution of vdd."""
+    or one near the float64 resolution of vdd.  With over_budget the weights
+    and the capacity may also exceed their budgets by up to one column."""
     rows, levels = draw(st.integers(1, 16)), draw(st.integers(1, 8))
     budget = rows * levels
+    slack = budget if over_budget else 0
     n = draw(st.integers(1, 6))
-    weights = draw(st.lists(st.integers(0, budget), min_size=n, max_size=n))
-    capacity = draw(st.integers(1, n * budget))
+    weights = draw(st.lists(st.integers(0, budget + slack), min_size=n, max_size=n))
+    capacity = draw(st.integers(1, n * budget + slack))
     vdd = draw(st.floats(0.1, 5.0))
     share = st.floats(0.01, 0.99).map(lambda s: s * vdd / capacity)  # of vdd, taken by the capacity
     unit_drop = draw(st.none() | share | st.floats(1e-17, 1e-13))
@@ -213,6 +218,41 @@ def test_noiseless_filter_is_the_weight_inequality(setup):
         return
     for x in itertools.product((0, 1), repeat=len(weights)):
         assert filter_check(model, list(x)).feasible == (ref_weight(weights, x) <= capacity)
+
+
+@common
+@given(setup=filter_setups(over_budget=True))
+def test_build_filter_raises_capacity_error_exactly_over_budget(setup):
+    weights, capacity, config = setup
+    budget = config.rows * config.levels_per_cell
+    over = max(weights) > budget or capacity > len(weights) * budget
+    raised = False
+    try:
+        build_filter(weights, capacity, config)
+    except CapacityError:
+        raised = True
+    except ConfigurationError:
+        pass
+    assert raised == over
+
+
+@common
+@given(setup=filter_setups(), sigma=st.sampled_from([0.0, 0.05, 0.8]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_filter_check_equals_plain_matchline_replay(setup, sigma, seed, data):
+    weights, capacity, config = setup
+    config = replace(config, noise_sigma=sigma)
+    try:
+        model = build_filter(weights, capacity, config)
+    except ConfigurationError:
+        return
+    bits = st.lists(st.integers(0, 1), min_size=len(weights), max_size=len(weights))
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for x in data.draw(st.lists(bits, min_size=1, max_size=8)):
+        decision = filter_check(model, x, rng)
+        working, feasible = ref_filter_check(weights, capacity, config, x, twin)
+        assert (decision.working_ml, decision.feasible) == (working, feasible)
+    assert rng.random() == twin.random()   # both drew the same number of normals
 
 
 @common

@@ -2,7 +2,9 @@
 every option and import has a use."""
 
 import ast
+import dataclasses
 import inspect
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ from cimqubo import anneal, bench, cli, crossbar_sim, filter_sim, qkp, transform
 REMOVED = {
     "IsingModel", "ising_to_qubo", "qubo_to_ising", "classification_accuracy",
     "report_filename", "_parse_transform_mode", "_dqubo_max_abs", "SignedPlanes",
-    "constrained_energy", "linearity_sweep",
+    "constrained_energy", "linearity_sweep", "WeightPlane", "ReplicaConfig",
+    "decompose_weights", "build_replica", "evaluate_ml",
 }
 
 # the full parameter lists of the functions that lost an option: the option
@@ -83,15 +86,24 @@ def test_programmed_quantities_are_stored_once():
     assert not {"parts", "_read_stack"} & set(dir(crossbar_sim.CrossbarModel))
     fields = {cls: set(cls.__dataclass_fields__)
               for cls in (filter_sim.FilterModel, transform.InequalityQuboModel, transform.DQuboModel)}
-    assert not {"weights", "capacity"} & fields[filter_sim.FilterModel]
+    assert fields[filter_sim.FilterModel] == {"weights", "config", "replica_ml"}
     assert not {"weights", "capacity"} & fields[transform.InequalityQuboModel]
     assert not {"n", "capacity"} & fields[transform.DQuboModel]
 
 
 def test_run_records_have_slots():
-    # studies keep every record, so no record carries an instance __dict__
-    record = anneal.RunRecord(seed=0, mode="hycim", best_energy=0, best_config=np.zeros(1),
-                              best_qkp_value=0, trajectory=None, filter_rejections=0,
-                              evaluations=1)
-    assert "__slots__" in vars(anneal.RunRecord)
-    assert not hasattr(record, "__dict__")
+    # studies and suites keep every record, so no record carries an instance __dict__
+    records = [
+        anneal.RunRecord(seed=0, mode="hycim", best_energy=0, best_config=np.zeros(1),
+                         best_qkp_value=0, trajectory=None, filter_rejections=0, evaluations=1),
+        bench.FilterCase(instance="a", config_id=0, weight_sum=3, capacity=4, working_ml=1.5,
+                         replica_ml=1.0, normalized_ml=0.75, predicted=True, actual=True),
+        crossbar_sim.EnergyReading(value=-3.0, exact_value=-3, activated_cells=5),
+    ]
+    for record in records:
+        assert "__slots__" in vars(type(record))
+        assert not hasattr(record, "__dict__")
+    for record in records[1:]:
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert dataclasses.replace(record) == record
+        assert list(dataclasses.asdict(record)) == list(type(record).__dataclass_fields__)
