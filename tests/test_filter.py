@@ -23,11 +23,17 @@ from conftest import make_instance
 
 # ------------------------------------------------------- array geometry
 
-def test_build_filter_rejects_a_weight_over_the_column_budget():
+# A weight is decomposed over the R cells of its column, L levels each, so
+# build_filter rejects any weight above the R x L column budget.
+
+def test_decompose_overweight_raises():
     assert FilterConfig().column_budget == 64
     assert build_filter([64], 64).weights.tolist() == [64]
     with pytest.raises(CapacityError, match="weights\\[0\\] = 65"):
         build_filter([65], 1)
+
+
+def test_decompose_respects_custom_geometry():
     cfg = FilterConfig(rows=2, levels_per_cell=3)
     assert build_filter([6, 0], 6, cfg).weights.tolist() == [6, 0]
     with pytest.raises(CapacityError):
