@@ -34,7 +34,7 @@ import numpy as np
 from .crossbar_sim import program_crossbar, vmv_energy
 from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check
-from .qkp import _FLOAT_EXACT, QkpInstance, as_bits
+from .qkp import _FLOAT_EXACT, QkpInstance, _fields_equal, as_bits
 from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
@@ -116,19 +116,7 @@ class RunRecord:
     filter_rejections: int
     evaluations: int
 
-    def __eq__(self, other):
-        if not isinstance(other, RunRecord):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.mode == other.mode
-            and self.best_energy == other.best_energy
-            and np.array_equal(self.best_config, other.best_config)
-            and self.best_qkp_value == other.best_qkp_value
-            and self.trajectory == other.trajectory
-            and self.filter_rejections == other.filter_rejections
-            and self.evaluations == other.evaluations
-        )
+    __eq__ = _fields_equal
 
 
 class _Context:

@@ -1,16 +1,20 @@
 """Hardware-cost accounting and solver success-rate studies.
 
-Cell counts use the array shapes actually programmed: the filter needs
-2 * rows * n cells (working plane plus replica), the item crossbar n^2 * M
-single-bit cells for M magnitude planes, and the penalty formulation
-(n + C)^2 * M' cells with no filter.  The search-space exponent is the count
-of auxiliary slack bits the filter makes unnecessary, i.e. the capacity.
+Cell counts follow the paper's counting convention: the filter needs
+2 * rows * n cells (working array plus replica), the item crossbar n^2 * M
+single-bit cells and the penalty formulation (n + C)^2 * M' cells with no
+filter, where M and M' are quantization_info bit widths.  These are not the
+planes program_crossbar lays out: at a power-of-two peak the width is one
+plane short (a peak of 64 counts 6 bits, programs 7 planes), and a mixed-sign
+penalty matrix, programmed as a positive and a negative stack, counts as one.
+Acceptance criteria 2-4 pin this convention.  The search-space exponent is the
+count of auxiliary slack bits the filter makes unnecessary, i.e. the capacity.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -40,7 +44,7 @@ class OverheadReport:
     dqubo_bits: int
     hycim_cells: int
     dqubo_cells: int
-    saving_fraction: float
+    saving_fraction: float = field(metadata={"csv": ".6f"})
     search_space_reduction_exponent: int
 
 
@@ -88,11 +92,11 @@ class SuccessReport:
 
     instance: str
     optimum: int
-    threshold: float
-    hycim_rate: float
-    dqubo_rate: float
-    hycim_run_rate: float
-    dqubo_run_rate: float
+    threshold: float = field(metadata={"csv": ".2f"})
+    hycim_rate: float = field(metadata={"csv": ".4f"})
+    dqubo_rate: float = field(metadata={"csv": ".4f"})
+    hycim_run_rate: float = field(metadata={"csv": ".4f"})
+    dqubo_run_rate: float = field(metadata={"csv": ".4f"})
     hycim_runs: int
     dqubo_runs: int
     iterations: int
@@ -171,9 +175,9 @@ class FilterCase:
     config_id: int
     weight_sum: int
     capacity: int
-    working_ml: float
-    replica_ml: float
-    normalized_ml: float
+    working_ml: float = field(metadata={"csv": ".6f"})
+    replica_ml: float = field(metadata={"csv": ".6f"})
+    normalized_ml: float = field(metadata={"csv": ".6f"})
     predicted: bool
     actual: bool
 
@@ -258,46 +262,37 @@ def filter_suite(
     )
 
 
-def _write_csv(path, header, rows, meta):
+def _csv_cell(value, f):
+    """A bool as 0 or 1, a field with "csv" metadata in that format spec."""
+    if isinstance(value, bool):
+        return int(value)
+    return format(value, f.metadata["csv"]) if "csv" in f.metadata else value
+
+
+def _write_csv(path, cls, records, meta):
+    """One column per field of cls, in declared order, one row per record."""
+    cols = fields(cls)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow([f.name for f in cols])
+        writer.writerows([_csv_cell(getattr(r, f.name), f) for f in cols] for r in records)
 
 
 def write_overhead_csv(reports: list[OverheadReport], path, meta: dict | None = None) -> None:
-    header = ["instance", "n", "capacity", "dqubo_dim", "hycim_bits", "dqubo_bits",
-              "hycim_cells", "dqubo_cells", "saving_fraction",
-              "search_space_reduction_exponent"]
-    rows = [[r.instance, r.n, r.capacity, r.dqubo_dim, r.hycim_bits, r.dqubo_bits,
-             r.hycim_cells, r.dqubo_cells, f"{r.saving_fraction:.6f}",
-             r.search_space_reduction_exponent] for r in reports]
-    _write_csv(path, header, rows, meta or {})
+    _write_csv(path, OverheadReport, reports, meta or {})
 
 
 def write_success_csv(reports: list[SuccessReport], path, meta: dict | None = None) -> None:
-    header = ["instance", "optimum", "threshold", "hycim_rate", "dqubo_rate",
-              "hycim_run_rate", "dqubo_run_rate", "hycim_runs", "dqubo_runs",
-              "iterations", "num_initials", "runs_per_initial", "master_seed"]
-    rows = [[r.instance, r.optimum, f"{r.threshold:.2f}", f"{r.hycim_rate:.4f}",
-             f"{r.dqubo_rate:.4f}", f"{r.hycim_run_rate:.4f}",
-             f"{r.dqubo_run_rate:.4f}", r.hycim_runs, r.dqubo_runs, r.iterations,
-             r.num_initials, r.runs_per_initial, r.master_seed] for r in reports]
-    _write_csv(path, header, rows, meta or {})
+    _write_csv(path, SuccessReport, reports, meta or {})
 
 
 def write_filter_csv(study: FilterStudy, path, meta: dict | None = None) -> None:
-    header = ["instance", "config_id", "weight_sum", "capacity", "working_ml",
-              "replica_ml", "normalized_ml", "predicted", "actual"]
-    rows = [[c.instance, c.config_id, c.weight_sum, c.capacity,
-             f"{c.working_ml:.6f}", f"{c.replica_ml:.6f}", f"{c.normalized_ml:.6f}",
-             int(c.predicted), int(c.actual)] for c in study.cases]
     merged = {"accuracy": f"{study.accuracy:.4f}", "noise_sigma": study.noise_sigma,
               "num_cases": study.num_cases, "seed": study.seed}
     merged.update(meta or {})
-    _write_csv(path, header, rows, merged)
+    _write_csv(path, FilterCase, study.cases, merged)
 
 
 def _as_jsonable(value):

@@ -70,9 +70,10 @@ def _load(arg: str):
     return load_instance(_resolve_instance(arg))
 
 
-def _echo_settings(label: str, **settings) -> None:
-    pairs = " ".join(f"{k}={v}" for k, v in settings.items())
-    print(f"cimqubo {label}: {pairs}", file=sys.stderr)
+def _echo_settings(args) -> None:
+    """Every parsed option of the command, in parser order, to stderr."""
+    pairs = " ".join(f"{k}={v}" for k, v in vars(args).items() if k not in ("command", "func"))
+    print(f"cimqubo {args.command}: {pairs}", file=sys.stderr)
 
 
 def _out(text: str, path: str | None) -> None:
@@ -86,9 +87,6 @@ def _out(text: str, path: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    _echo_settings("gen", n=args.n, density=args.density, wmax=args.wmax,
-                   pmax=args.pmax, cap_ratio=args.cap_ratio, seed=args.seed,
-                   format=args.format)
     inst = generate_instance(
         args.n, density=args.density, wmax=args.wmax, pmax=args.pmax,
         cap_ratio=args.cap_ratio, seed=args.seed, name=args.name,
@@ -98,7 +96,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    _echo_settings("transform", mode=args.mode, alpha=args.alpha, beta=args.beta)
     inst = _load(args.instance)
     if args.mode == "ineq":
         model = build_inequality_qubo(inst)
@@ -112,7 +109,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _echo_settings("oracle", instance=args.instance)
     inst = _load(args.instance)
     result = brute_force_oracle(inst)
     bits = "".join(str(int(b)) for b in result.best_config)
@@ -133,11 +129,6 @@ def _schedule_from_args(args, problem):
 
 
 def _cmd_solve(args) -> int:
-    _echo_settings("solve", mode=args.mode, backend=args.backend,
-                   initials=args.initials, runs=args.runs,
-                   iterations=args.iterations, seed=args.seed,
-                   alpha=args.alpha, beta=args.beta,
-                   noise_sigma=args.noise_sigma, jobs=args.jobs)
     inst = _load(args.instance)
     if args.mode == MODE_HYCIM:
         problem = build_inequality_qubo(inst)
@@ -178,8 +169,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_filter_eval(args) -> int:
-    _echo_settings("filter-eval", samples=args.samples, noise_sigma=args.noise_sigma,
-                   seed=args.seed, rows=args.rows, levels=args.levels)
     inst = _load(args.instance)
     cfg = FilterConfig(rows=args.rows, levels_per_cell=args.levels,
                        noise_sigma=args.noise_sigma)
@@ -195,7 +184,6 @@ def _cmd_filter_eval(args) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    _echo_settings("overhead", alpha=args.alpha, beta=args.beta)
     reports = []
     for name in args.instances:
         inst = _load(name)
@@ -212,9 +200,6 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _echo_settings("bench", initials=args.initials, runs=args.runs,
-                   iterations=args.iterations, seed=args.seed,
-                   alpha=args.alpha, beta=args.beta, jobs=args.jobs)
     names = list(args.instances)
     if args.directory:
         entries = sorted(os.listdir(args.directory))
@@ -332,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _echo_settings(args)
     try:
         return args.func(args)
     except (CimQuboError, OverflowError, OSError) as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SamplingError, ValidationError
-from .qkp import _as_rng, as_bits
+from .qkp import _as_int_array, _as_rng, as_bits
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
     over-weight input, and so would one that a weight of capacity + 1 leaves
     at the same float64 value; both raise ConfigurationError.
     """
-    w = np.array(weights, dtype=np.int64)
+    w = _as_int_array(weights, "weights")
     if w.ndim != 1:
         raise ValidationError("weights", f"expected a vector, got shape {w.shape}")
     budget = config.column_budget
@@ -147,7 +147,7 @@ def sample_balanced_configs(
     Returns (configs, labels) with the feasible block first.  Raises
     SamplingError with the achieved counts when the attempt budget runs out.
     """
-    w = np.asarray(weights, dtype=np.int64)
+    w = _as_int_array(weights, "weights", copy=False)
     n = w.shape[0]
     budget = max(20000, 400 * (num_feasible + num_infeasible))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))

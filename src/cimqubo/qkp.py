@@ -12,7 +12,7 @@ both orderings, so an off-diagonal pair contributes p_ij + p_ji = 2 p_ij.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,14 +52,33 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _as_int_array(values, fieldname: str) -> np.ndarray:
+def _as_int_array(values, fieldname: str, copy: bool = True) -> np.ndarray:
+    """values as int64.  Integral floats such as 3.0 pass; 3.7, values past
+    the int64 range and entries that are not numbers raise."""
     arr = np.asarray(values)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+    kind = arr.dtype.kind if arr.size else "i"
+    if kind == "f":
         rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise ValidationError(fieldname, "entries must be integers")
+        fits = np.array_equal(rounded, arr) and np.abs(rounded).max() < 2.0**63
         arr = rounded
-    return arr.astype(np.int64)
+    else:
+        fits = kind in "bi" or (kind == "u" and int(arr.max()) < 1 << 63)
+    if not fits:
+        raise ValidationError(fieldname, "entries must be integers in the int64 range")
+    return arr.astype(np.int64, copy=copy)
+
+
+def _fields_equal(a, b):
+    """Dataclass equality over every field declared with compare=True;
+    ndarray fields compare by shape and content."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    for f in fields(a):
+        if f.compare:
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+                return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +95,7 @@ class QkpInstance:
     profits: np.ndarray
     weights: np.ndarray
     capacity: int
-    meta: dict | None = field(default=None)
+    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -106,16 +125,7 @@ class QkpInstance:
     def total_weight(self) -> int:
         return sum(self.weights.tolist())
 
-    def __eq__(self, other):
-        if not isinstance(other, QkpInstance):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.n == other.n
-            and np.array_equal(self.profits, other.profits)
-            and np.array_equal(self.weights, other.weights)
-            and self.capacity == other.capacity
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +134,7 @@ class OracleResult:
     best_config: np.ndarray
     feasible_count: int
 
-    def __eq__(self, other):
-        if not isinstance(other, OracleResult):
-            return NotImplemented
-        return (
-            self.best_value == other.best_value
-            and np.array_equal(self.best_config, other.best_config)
-            and self.feasible_count == other.feasible_count
-        )
+    __eq__ = _fields_equal
 
 
 def qkp_objective(instance: QkpInstance, x) -> int:
@@ -221,10 +224,9 @@ def _parse_json(text: str) -> QkpInstance:
     if len(upper) != n * (n - 1) // 2:
         raise ParseError(1, f"profits_upper has {len(upper)} entries, expected {n * (n - 1) // 2}")
     profits = np.zeros((n, n), dtype=np.int64)
-    iu = np.triu_indices(n, k=1)
-    profits[iu] = upper
+    profits[np.triu_indices(n, k=1)] = _as_int_array(upper, "profits_upper")
     profits = profits + profits.T
-    np.fill_diagonal(profits, diag)
+    np.fill_diagonal(profits, _as_int_array(diag, "profits_diag"))
     return QkpInstance(
         name=doc["name"],
         n=n,

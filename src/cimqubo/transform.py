@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
-from .qkp import QkpInstance, as_bits
+from .qkp import QkpInstance, _as_int_array, _fields_equal, as_bits
 
 INEQUALITY_MODE = "inequality"
 DQUBO_MODE = "dqubo"
@@ -53,16 +53,11 @@ class QuboMatrix:
         q = np.asarray(self.q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValidationError("q", f"must be square, got shape {q.shape}")
-        if not np.issubdtype(q.dtype, np.integer):
-            rounded = np.rint(q)
-            if not np.array_equal(rounded, q):
-                raise ValidationError("q", "entries must be integers")
-            q = rounded
         # keep a frozen int64 array that owns its data, copy anything else
-        q = q.astype(np.int64, copy=q.flags.writeable or not q.flags.owndata)
+        q = _as_int_array(q, "q", copy=q.flags.writeable or not q.flags.owndata)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", int(_as_int_array(self.offset, "offset")))
 
     @property
     def dim(self) -> int:
@@ -78,10 +73,7 @@ class QuboMatrix:
         # as uint64, |-2^63| wraps back to 2^63
         return _exact_sum(np.abs(self.q).view(np.uint64)) + abs(self.offset)
 
-    def __eq__(self, other):
-        if not isinstance(other, QuboMatrix):
-            return NotImplemented
-        return self.offset == other.offset and np.array_equal(self.q, other.q)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +177,9 @@ def _quantization(max_abs: int) -> QuantizationInfo:
 def quantization_info(q) -> QuantizationInfo:
     """Bit width ceil(log2(max |q_ij|)) needed to quantize the matrix, minimum 1.
 
+    This is the paper's convention for counting cells.  program_crossbar
+    programs the bit length of max |q_ij| in planes, one more at a
+    power-of-two peak (64 gives 6 bits and 7 planes).
     Accepts a QuboMatrix or a plain integer array."""
     arr = q.q if isinstance(q, QuboMatrix) else np.asarray(q)
     return _quantization(max(int(arr.max()), -int(arr.min())) if arr.size else 0)
@@ -241,12 +236,12 @@ def load_qubo_json(text: str) -> QuboDocument:
             raise ParseError(1, f"missing key {key!r}")
     dim = doc["dim"]
     if doc["encoding"] == "dense":
-        q = np.asarray(doc["entries"], dtype=np.int64)
+        q = _as_int_array(doc["entries"], "entries", copy=False)
         if q.shape != (dim, dim):
             raise ParseError(1, f"dense entries have shape {q.shape}, expected ({dim}, {dim})")
     elif doc["encoding"] == "sparse":
         q = np.zeros((dim, dim), dtype=np.int64)
-        for i, j, v in doc["entries"]:
+        for i, j, v in _as_int_array(doc["entries"], "entries").tolist():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ParseError(1, f"sparse index ({i}, {j}) out of range for dim {dim}")
             q[i, j] = v
@@ -256,7 +251,7 @@ def load_qubo_json(text: str) -> QuboDocument:
     return QuboDocument(
         qubo=QuboMatrix(q, offset=doc["offset"]),
         mode=doc["mode"],
-        weights=None if weights is None else np.asarray(weights, dtype=np.int64),
+        weights=None if weights is None else _as_int_array(weights, "weights"),
         capacity=doc.get("capacity"),
         alpha=doc.get("alpha"),
         beta=doc.get("beta"),

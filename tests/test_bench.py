@@ -1,5 +1,7 @@
 """Overhead accounting, success-rate studies, filter studies, report files."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +9,10 @@ import pytest
 
 from cimqubo import (
     ConfigurationError,
+    FilterCase,
+    FilterConfig,
+    OverheadReport,
+    SuccessReport,
     ValidationError,
     filter_study,
     filter_suite,
@@ -225,3 +231,41 @@ def test_report_json(tmp_path, tiny):
     assert doc["accuracy"] == 1.0
     assert len(doc["cases"]) == 4
     assert doc["cases"][0]["instance"] == "tiny3"
+
+
+def _report_csvs(tmp_path, tiny):
+    """The three report CSVs over the tiny and 100-item instances."""
+    paths = {name: tmp_path / f"{name}.csv" for name in ("overhead", "success", "filter")}
+    write_overhead_csv([overhead_report(tiny), overhead_report(scale_instance(100, 2))],
+                       paths["overhead"], meta={"alpha": 2, "beta": 2})
+    write_success_csv([success_rate_study(tiny, 3, 2, master_seed=1, iterations=400),
+                       success_rate_study(tiny, 2, 2, master_seed=8, iterations=200)],
+                      paths["success"], meta={"iterations": 400})
+    study = filter_study(scale_instance(100, 2), 10, config=FilterConfig(noise_sigma=0.05), seed=3)
+    write_filter_csv(study, paths["filter"], {"rows": 16})
+    return paths
+
+
+def test_csv_headers_are_the_report_fields(tmp_path, tiny):
+    paths = _report_csvs(tmp_path, tiny)
+    for name, cls in (("overhead", OverheadReport), ("success", SuccessReport),
+                      ("filter", FilterCase)):
+        header = [l for l in paths[name].read_text().splitlines() if not l.startswith("#")][0]
+        assert header.split(",") == [f.name for f in dataclasses.fields(cls)], name
+    empty = tmp_path / "empty.csv"
+    write_overhead_csv([], empty)
+    assert empty.read_text().splitlines() == [",".join(f.name for f in dataclasses.fields(OverheadReport))]
+
+
+# sha256 of each report file: a changed column, format or row order changes it
+PINNED_CSV_SHA256 = {
+    "overhead": "1d7faa6e0808f60d193abcc9a7d19354970edaa705ba99f11ee185d1fcb5871b",
+    "success": "c1635ec803dbd24f770ed3f13340474137d82df309838510d8c71595de89c860",
+    "filter": "9b2579080ae12a2caccde7c28642af3fbbc390fbee418a666429ff019852c3c6",
+}
+
+
+def test_report_csv_bytes_are_pinned(tmp_path, tiny):
+    paths = _report_csvs(tmp_path, tiny)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == PINNED_CSV_SHA256

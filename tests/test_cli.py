@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, files, resolution, exit codes."""
 
+import argparse
 import inspect
 import json
 
@@ -334,3 +335,38 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["launder"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------- settings echo
+
+# argv after the subcommand and the instance path, then the echoed settings;
+# {path} stands for the instance path
+ECHOES = {
+    "gen": (["--n", "4", "--seed", "3"],
+            "n=4 density=0.5 wmax=20 pmax=50 cap_ratio=0.5 seed=3 name=None "
+            "format=canonical-text output=None"),
+    "transform": (["{path}", "--mode", "dqubo", "--beta", "3"],
+                  "alpha=2 beta=3 instance={path} mode=dqubo output=None"),
+    "oracle": (["{path}"], "instance={path}"),
+    "solve": (["{path}", "--initials", "1", "--runs", "2", "--iters", "5"],
+              "initials=1 runs=2 iterations=5 seed=0 jobs=1 alpha=2 beta=2 instance={path} "
+              "mode=hycim backend=exact-software t_start=None t_end=None noise_sigma=0.0 "
+              "trajectory=None"),
+    "filter-eval": (["{path}", "--samples", "4", "--rows", "8"],
+                    "instance={path} samples=4 noise_sigma=0.0 seed=0 rows=8 levels=4 "
+                    "csv=None json=None"),
+    "overhead": (["{path}", "--alpha", "3"], "alpha=3 beta=2 instances=['{path}'] csv=None"),
+    "bench": (["{path}", "--initials", "1", "--runs", "1", "--iters", "5", "--seed", "4"],
+              "initials=1 runs=1 iterations=5 seed=4 jobs=1 alpha=2 beta=2 "
+              "instances=['{path}'] directory=None report=None json=None"),
+}
+
+
+@pytest.mark.parametrize("command", list(ECHOES))
+def test_every_parsed_option_echoes_to_stderr(command, tiny_path, capsys):
+    argv, settings = ECHOES[command]
+    assert main([command] + [a.format(path=tiny_path) for a in argv]) == 0
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == f"cimqubo {command}: " + settings.format(path=tiny_path)
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(ECHOES) == set(subcommands.choices)

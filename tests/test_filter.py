@@ -54,6 +54,20 @@ def test_build_filter_keeps_a_read_only_copy_of_the_weights():
     assert not model.weights.flags.writeable
 
 
+def test_build_filter_rejects_fractional_weights():
+    # truncated to [1, 2], x = [1, 1] would pass at a true weight of 4.4 > 3
+    with pytest.raises(ValidationError, match="weights: entries must be integers"):
+        build_filter([1.5, 2.9], 3)
+    assert build_filter([1.0, 2.0], 3).weights.tolist() == [1, 2]
+
+
+def test_sample_balanced_configs_rejects_fractional_weights():
+    with pytest.raises(ValidationError, match="weights: entries must be integers"):
+        sample_balanced_configs([1.5, 2.9], 3, 1, 1)
+    configs, labels = sample_balanced_configs([1.0, 2.0], 1, 1, 1)
+    assert labels.tolist() == [True, False]
+
+
 # ------------------------------------------------------- matchline voltages
 
 def test_matchline_idle_at_vdd():

@@ -1,5 +1,6 @@
 """Instance model, serialization, objective, generator, oracle."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,17 @@ def test_text_round_trip(tiny):
 def test_json_round_trip(tiny):
     text = dump_instance(tiny, fmt="json")
     assert parse_instance(text, fmt="json") == tiny
+
+
+@pytest.mark.parametrize("key, values", [("profits_diag", [3.7, 2]), ("profits_upper", [1.5])])
+def test_json_rejects_fractional_profits(key, values):
+    doc = {"name": "t", "n": 2, "profits_diag": [3, 2], "profits_upper": [1],
+           "capacity": 3, "weights": [1, 2]}
+    doc[key] = values
+    with pytest.raises(ValidationError, match=f"{key}: entries must be integers"):
+        parse_instance(json.dumps(doc), "json")
+    doc[key] = [float(round(v)) for v in values]
+    assert parse_instance(json.dumps(doc), "json").profits.dtype == np.int64
 
 
 def test_parse_error_reports_line_number():

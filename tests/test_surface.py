@@ -2,12 +2,14 @@
 every option and import has a use."""
 
 import ast
+import copy
 import dataclasses
 import inspect
 import pickle
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cimqubo
 from cimqubo import anneal, bench, cli, crossbar_sim, filter_sim, qkp, transform
@@ -107,3 +109,45 @@ def test_run_records_have_slots():
         assert pickle.loads(pickle.dumps(record)) == record
         assert dataclasses.replace(record) == record
         assert list(dataclasses.asdict(record)) == list(type(record).__dataclass_fields__)
+
+
+# one value per class, and a different value for every field its equality compares
+EQUALITY_CASES = [
+    (qkp.QkpInstance(name="a", n=2, profits=[[1, 0], [0, 1]], weights=[1, 2], capacity=2,
+                     meta={"seed": 0}),
+     {"name": "b", "n": 3, "profits": np.eye(2, dtype=np.int64) * 2,
+      "weights": np.array([2, 1]), "capacity": 3}),
+    (qkp.OracleResult(best_value=3, best_config=np.array([1, 0], dtype=np.int8), feasible_count=3),
+     {"best_value": 4, "best_config": np.array([1, 0, 0], dtype=np.int8), "feasible_count": 2}),
+    (transform.QuboMatrix(np.eye(2, dtype=np.int64), offset=1),
+     {"q": np.eye(2, dtype=np.int64) * -1, "offset": 2}),
+    (anneal.RunRecord(seed=5, mode="hycim", best_energy=-3, best_config=np.array([1, 0], dtype=np.int8),
+                      best_qkp_value=3, trajectory=[(0, -3.0, True, True)], filter_rejections=1,
+                      evaluations=2),
+     {"seed": 6, "mode": "dqubo", "best_energy": -3.5, "best_config": np.array([0, 1], dtype=np.int8),
+      "best_qkp_value": 2, "trajectory": None, "filter_rejections": 0, "evaluations": 3}),
+]
+
+
+def _with(value, name, other):
+    clone = copy.copy(value)
+    object.__setattr__(clone, name, other)
+    return clone
+
+
+@pytest.mark.parametrize("value, changes", EQUALITY_CASES,
+                         ids=[type(v).__name__ for v, _ in EQUALITY_CASES])
+def test_equality_sees_every_compared_field(value, changes):
+    cls = type(value)
+    assert cls.__eq__ is qkp._fields_equal
+    assert cls.__hash__ is None
+    compared = [f.name for f in dataclasses.fields(cls) if f.compare]
+    assert compared == list(changes)
+    assert [f.name for f in dataclasses.fields(cls) if not f.compare] == (
+        ["meta"] if cls is qkp.QkpInstance else [])
+    assert value == copy.copy(value)
+    assert value.__eq__(object()) is NotImplemented
+    for name, other in changes.items():
+        assert value != _with(value, name, other), name
+    if cls is qkp.QkpInstance:
+        assert value == _with(value, "meta", {"seed": 1})

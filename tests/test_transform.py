@@ -1,6 +1,7 @@
 """QUBO builds, penalty expansion, JSON serialization."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -234,6 +235,21 @@ def test_qubo_matrix_validation():
         QuboMatrix(np.zeros((2, 3)))
     with pytest.raises(ValidationError, match="integers"):
         QuboMatrix(np.array([[0.5]]))
+    # past the int64 range, a cast would wrap both to -2^63
+    for q in (np.array([[1e19]]), np.array([[2**63]], dtype=np.uint64)):
+        with pytest.raises(ValidationError, match="int64 range"):
+            QuboMatrix(q)
+
+
+def test_qubo_matrix_rejects_a_fractional_offset():
+    with pytest.raises(ValidationError, match="offset: entries must be integers"):
+        QuboMatrix(np.zeros((1, 1), dtype=np.int64), offset=2.9)
+    assert QuboMatrix(np.zeros((1, 1), dtype=np.int64), offset=2.0).offset == 2
+
+
+def test_qubo_matrix_keeps_read_only_int64_input_without_a_copy(tiny):
+    q = build_dqubo(tiny).qubo.q
+    assert QuboMatrix(q).q is q
 
 
 # ------------------------------------------------------- JSON documents
@@ -281,3 +297,25 @@ def test_qubo_json_error_paths():
         )
     with pytest.raises(ParseError):
         load_qubo_json("not json")
+
+
+@pytest.mark.parametrize("encoding, key, fractional, integral", [
+    ("dense", "entries", [[1.5, 0], [0, 0]], [[1.0, 0], [0, 0]]),
+    ("sparse", "entries", [[0, 1, 2.7]], [[0, 1, 3.0]]),
+    ("sparse", "entries", [[0.5, 1, 2]], [[0.0, 1, 2]]),
+    ("sparse", "offset", 2.9, 3.0),
+    ("sparse", "weights", [1.5, 2], [1.0, 2]),
+], ids=["dense-value", "sparse-value", "sparse-index", "offset", "weights"])
+def test_qubo_json_rejects_fractional_numbers(encoding, key, fractional, integral):
+    doc = {"mode": "inequality", "dim": 2, "offset": 0, "encoding": encoding,
+           "entries": [[0, 1, 2]], "weights": [1, 2]}
+    with pytest.raises(ValidationError, match=f"{key}: entries must be integers"):
+        load_qubo_json(json.dumps({**doc, key: fractional}))
+    assert load_qubo_json(json.dumps({**doc, key: integral})).qubo.q.dtype == np.int64
+
+
+@pytest.mark.parametrize("value", [1e19, float("inf"), 2**70, "3", None])
+def test_qubo_json_rejects_entries_past_int64_and_non_numbers(value):
+    doc = {"mode": "inequality", "dim": 1, "offset": 0, "encoding": "dense", "entries": [[value]]}
+    with pytest.raises(ValidationError, match="entries must be integers in the int64 range"):
+        load_qubo_json(json.dumps(doc))
