@@ -64,11 +64,8 @@ from .qkp import (
     dump_instance,
     generate_instance,
     infer_format,
-    is_feasible,
     load_instance,
     parse_instance,
-    qkp_objective,
-    qkp_weight,
     save_instance,
 )
 from .transform import (
@@ -105,8 +102,7 @@ __all__ = [
     "filter_check", "sample_balanced_configs",
     "QkpInstance", "OracleResult", "as_bits", "brute_force_oracle",
     "generate_instance", "parse_instance", "dump_instance", "load_instance",
-    "save_instance", "infer_format", "qkp_objective", "qkp_weight",
-    "is_feasible", "TEXT_FORMAT", "JSON_FORMAT", "ORACLE_MAX_ITEMS",
+    "save_instance", "infer_format", "TEXT_FORMAT", "JSON_FORMAT", "ORACLE_MAX_ITEMS",
     "QuboMatrix", "QuantizationInfo", "InequalityQuboModel", "DQuboModel",
     "QuboDocument", "build_inequality_qubo", "build_dqubo",
     "quantization_info", "dqubo_quantization_info", "dump_qubo_json",

@@ -27,6 +27,7 @@ never leaves the feasible region.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +63,18 @@ _FLIP_SIGN = np.array([1, -1])
 class AnnealSchedule:
     """Geometric cooling from t_start down to exactly t_end at the last step."""
 
-    iterations: int = DEFAULT_ITERATIONS
-    t_start: float = 1.0
-    t_end: float = 0.01
+    iterations: int
+    t_start: float
+    t_end: float
 
     def __post_init__(self):
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise ValidationError("iterations", f"must be >= 1, got {self.iterations}")
-        if not self.t_end > 0:
-            raise ValidationError("t_end", f"must be positive, got {self.t_end}")
-        if self.t_start < self.t_end:
-            raise ValidationError("t_start", f"must be >= t_end, got {self.t_start} < {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValidationError("t_end", f"must be positive and finite, got {self.t_end}")
+        if not self.t_end <= self.t_start < math.inf:
+            raise ValidationError("t_start", f"must be finite and >= t_end {self.t_end}, "
+                                  f"got {self.t_start}")
 
     def temperatures(self) -> np.ndarray:
         if self.iterations == 1:

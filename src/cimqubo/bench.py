@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .anneal import DEFAULT_ITERATIONS, MODE_DQUBO, MODE_HYCIM, batch_solve, default_schedule
-from .errors import CapacityError, ConfigurationError, ValidationError
+from .errors import CapacityError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
-from .qkp import ORACLE_MAX_ITEMS, QkpInstance, brute_force_oracle, qkp_weight
+from .qkp import QkpInstance, brute_force_oracle
 from .transform import (
     DEFAULT_PENALTY,
     build_dqubo,
@@ -121,23 +121,15 @@ def success_rate_study(
     iterations: int = DEFAULT_ITERATIONS,
     alpha: int = DEFAULT_PENALTY,
     beta: int = DEFAULT_PENALTY,
-    best_known: int | None = None,
     jobs: int = 1,
 ) -> SuccessReport:
     """Run both modes over a shared pool of initials and score each run
     against THRESHOLD_FRACTION of the optimum.
 
     Each mode cools from its own coefficient scale over the given iteration
-    count.  The optimum comes from exhaustive search for n <= 24; larger
-    instances need best_known."""
-    if best_known is not None:
-        optimum = int(best_known)
-    elif instance.n <= ORACLE_MAX_ITEMS:
-        optimum = brute_force_oracle(instance).best_value
-    else:
-        raise ConfigurationError(
-            f"n={instance.n} is beyond exhaustive search, pass best_known"
-        )
+    count.  The optimum comes from exhaustive search, so the instance needs
+    n <= ORACLE_MAX_ITEMS (24)."""
+    optimum = brute_force_oracle(instance).best_value
     threshold = THRESHOLD_FRACTION * optimum
     h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
     d_schedule = default_schedule(build_dqubo(instance, alpha, beta), iterations)
@@ -208,6 +200,7 @@ def filter_study(
     configs, labels = sample_balanced_configs(
         instance.weights, instance.capacity, nf, num_samples - nf, seed=seed
     )
+    wsums = (configs @ instance.weights).tolist()
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     cases = []
     correct = 0
@@ -216,15 +209,14 @@ def filter_study(
         actual = bool(labels[k])
         if decision.feasible == actual:
             correct += 1
-        norm = decision.working_ml / decision.replica_ml if decision.replica_ml > 0 else float("inf")
         cases.append(FilterCase(
             instance=instance.name,
             config_id=k,
-            weight_sum=qkp_weight(instance, x),
+            weight_sum=wsums[k],
             capacity=instance.capacity,
             working_ml=decision.working_ml,
             replica_ml=decision.replica_ml,
-            normalized_ml=norm,
+            normalized_ml=decision.working_ml / decision.replica_ml,
             predicted=decision.feasible,
             actual=actual,
         ))

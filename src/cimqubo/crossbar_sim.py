@@ -9,6 +9,7 @@ when x_i = x_j = 1, so the noiseless reading is exactly x^T q x + offset.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +37,6 @@ class CrossbarModel:
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def bits(self) -> int:
-        """Planes in the wider of the two sign stacks."""
-        return int(np.abs(self.scale).max()).bit_length()
-
-    def reconstruct(self) -> QuboMatrix:
-        planes = np.ascontiguousarray(self.rows.transpose(2, 0, 1)).view(np.uint8)
-        cells = np.unpackbits(planes, axis=-1, count=self.dim, bitorder="little")
-        return QuboMatrix(np.tensordot(self.scale, cells.astype(np.int64), 1), offset=self.offset)
-
 
 @dataclass(frozen=True, slots=True)
 class EnergyReading:
@@ -67,8 +58,8 @@ def _plane_rows(mags: np.ndarray, words: int) -> np.ndarray:
 
 def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
     """Slice a coefficient matrix into bit planes, splitting mixed signs."""
-    if noise_sigma < 0:
-        raise ValidationError("noise_sigma", f"must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValidationError("noise_sigma", f"must be finite and >= 0, got {noise_sigma}")
     mat = q.q
     words = -(-q.dim // 64)
     signs = [1] if np.any(mat > 0) else []

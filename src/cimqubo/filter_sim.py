@@ -1,13 +1,15 @@
 """Behavioral model of the multi-level inequality filter array.
 
 The model keeps what decides a verdict: the column weights of the working
-array and the matchline of its replica column.  Driving input x discharges
-the working matchline by unit_drop volts per unit of selected weight, so it
-sits at vdd - unit_drop * sum(w_i x_i), clamped at zero.  The replica stores
-exactly the capacity and its matchline is the comparison reference: the
-working matchline at or above the replica means the configuration is
-feasible.  Gaussian noise, when enabled, multiplies every unit conduction
-event on the working side; the replica is read noiselessly.
+array and the matchline of its replica column.  Both matchlines precharge to
+VDD.  Driving input x discharges the working matchline by unit_drop volts per
+unit of selected weight, so it sits at VDD - unit_drop * sum(w_i x_i), clamped
+at zero.  The replica stores exactly the capacity and its matchline is the
+comparison reference: the working matchline at or above the replica means the
+configuration is feasible.  Gaussian noise, when enabled, multiplies every
+unit conduction event on the working side; the replica is read noiselessly.
+VDD and unit_drop only set the voltage scale of the reported matchlines: the
+verdict depends on w.x <= C and the noise alone.
 
 Each weight is programmed over the rows of one column, every cell holding a
 level in [0, levels_per_cell], and the replica spreads the capacity over as
@@ -17,33 +19,30 @@ constraint, which build_filter checks; it does not change a read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SamplingError, ValidationError
 from .qkp import _as_int_array, _as_rng, as_bits
 
+# precharge voltage of both matchlines
+VDD = 2.0
+
 
 @dataclass(frozen=True)
 class FilterConfig:
     rows: int = 16
     levels_per_cell: int = 4
-    vdd: float = 2.0
-    unit_drop: float | None = None
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.rows < 1:
+        if not self.rows >= 1:
             raise ValidationError("rows", f"must be >= 1, got {self.rows}")
-        if self.levels_per_cell < 1:
+        if not self.levels_per_cell >= 1:
             raise ValidationError("levels_per_cell", f"must be >= 1, got {self.levels_per_cell}")
-        if self.vdd <= 0:
-            raise ValidationError("vdd", f"must be positive, got {self.vdd}")
-        if self.unit_drop is not None and self.unit_drop <= 0:
-            raise ValidationError("unit_drop", f"must be positive, got {self.unit_drop}")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma", f"must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError("noise_sigma", f"must be finite and >= 0, got {self.noise_sigma}")
 
     @property
     def column_budget(self) -> int:
@@ -53,9 +52,10 @@ class FilterConfig:
 
 @dataclass(frozen=True, eq=False)
 class FilterModel:
-    """Working column weights, resolved electrical configuration, replica matchline."""
+    """Working column weights, drop per weight unit, configuration, replica matchline."""
 
     weights: np.ndarray
+    unit_drop: float
     config: FilterConfig
     replica_ml: float
 
@@ -68,15 +68,14 @@ class FilterDecision:
 
 
 def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) -> FilterModel:
-    """Check that the weights and the capacity fit the array and resolve the
+    """Check that the weights and the capacity fit the array and set the
     drop per weight unit.
 
     Every weight must fit one column of rows x levels_per_cell, and the
-    capacity the replica's n columns.  When unit_drop is not set it defaults
-    to vdd / (2 * max(capacity, max w)), placing the replica matchline
-    mid-rail.  A replica matchline discharged to zero would tie with every
-    over-weight input, and so would one that a weight of capacity + 1 leaves
-    at the same float64 value; both raise ConfigurationError.
+    capacity the replica's n columns.  unit_drop is VDD / (2 * max(capacity,
+    max w)), so the replica matchline sits at VDD / 2 or above.  A replica
+    matchline that a weight of capacity + 1 leaves at the same float64 value
+    would tie with that over-weight input and raises ConfigurationError.
     """
     w = _as_int_array(weights, "weights")
     if w.ndim != 1:
@@ -99,21 +98,14 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
             f"({columns} columns x {budget})"
         )
     w.setflags(write=False)
-    if config.unit_drop is None:
-        scale = max(int(capacity), int(w.max()) if w.size else 1, 1)
-        config = replace(config, unit_drop=config.vdd / (2.0 * scale))
-    replica_ml = config.vdd - config.unit_drop * float(int(capacity))
-    if replica_ml <= 0:
+    unit_drop = VDD / (2.0 * max(int(capacity), int(w.max())))
+    replica_ml = VDD - unit_drop * float(int(capacity))
+    if VDD - unit_drop * float(int(capacity) + 1) == replica_ml:
         raise ConfigurationError(
-            f"unit_drop {config.unit_drop} x capacity {capacity} reaches vdd {config.vdd}: "
-            "the replica matchline saturates at zero"
-        )
-    if config.vdd - config.unit_drop * float(int(capacity) + 1) == replica_ml:
-        raise ConfigurationError(
-            f"unit_drop {config.unit_drop} is below the float64 resolution of vdd {config.vdd}: "
+            f"unit_drop {unit_drop} is below the float64 resolution of VDD {VDD}: "
             f"weights {capacity} and {int(capacity) + 1} give the same matchline"
         )
-    return FilterModel(weights=w, config=config, replica_ml=replica_ml)
+    return FilterModel(weights=w, unit_drop=unit_drop, config=config, replica_ml=replica_ml)
 
 
 def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
@@ -124,13 +116,13 @@ def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
     the number of events equals the selected weight sum wsum, so the events'
     perturbations add up to one Gaussian draw scaled by noise_sigma * sqrt(wsum).
     """
-    config = model.config
+    sigma = model.config.noise_sigma
     wsum = int(model.weights @ as_bits(x, model.weights.shape[0]))
-    drop = config.unit_drop * float(wsum)
-    if config.noise_sigma > 0 and wsum > 0:
-        eta = _as_rng(rng).standard_normal() * config.noise_sigma * math.sqrt(wsum)
-        drop += config.unit_drop * float(eta)
-    working = max(0.0, config.vdd - drop)
+    drop = model.unit_drop * float(wsum)
+    if sigma > 0 and wsum > 0:
+        eta = _as_rng(rng).standard_normal() * sigma * math.sqrt(wsum)
+        drop += model.unit_drop * float(eta)
+    working = max(0.0, VDD - drop)
     return FilterDecision(working_ml=working, replica_ml=model.replica_ml,
                           feasible=bool(working >= model.replica_ml))
 

@@ -12,6 +12,7 @@ both orderings, so an off-diagonal pair contributes p_ij + p_ji = 2 p_ij.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -55,7 +56,10 @@ def _as_rng(rng) -> np.random.Generator:
 def _as_int_array(values, fieldname: str, copy: bool = True) -> np.ndarray:
     """values as int64.  Integral floats such as 3.0 pass; 3.7, values past
     the int64 range and entries that are not numbers raise."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting has no array shape
+        raise ValidationError(fieldname, "entries must form a rectangular array") from None
     kind = arr.dtype.kind if arr.size else "i"
     if kind == "f":
         rounded = np.rint(arr)
@@ -85,9 +89,11 @@ def _fields_equal(a, b):
 class QkpInstance:
     """One quadratic knapsack problem.
 
-    profits is an n x n symmetric matrix of nonnegative integers, weights is a
-    vector of n positive integers, capacity is a positive integer.  meta is an
-    optional free-form dict (kept out of equality, serialized to JSON only).
+    name is one line of text with no surrounding whitespace, as the first
+    line of the text format holds it.  profits is an n x n symmetric matrix of
+    nonnegative integers, weights is a vector of n positive integers, capacity
+    is a positive integer.  meta is an optional free-form dict (kept out of
+    equality, serialized to JSON only).
     """
 
     name: str
@@ -98,7 +104,11 @@ class QkpInstance:
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        name = self.name
+        if not (isinstance(name, str) and name == name.strip() and name.splitlines() == [name]):
+            raise ValidationError("name", f"must be one nonempty line with no surrounding "
+                                  f"whitespace, got {name!r}")
+        if type(self.n) is not int or self.n < 1:
             raise ValidationError("n", f"must be a positive integer, got {self.n!r}")
         profits = _as_int_array(self.profits, "profits")
         weights = _as_int_array(self.weights, "weights")
@@ -113,7 +123,8 @@ class QkpInstance:
         for i, wi in enumerate(weights.tolist()):
             if wi < 1:
                 raise ValidationError(f"weights[{i}]", f"must be >= 1, got {wi}")
-        if not isinstance(self.capacity, (int, np.integer)) or int(self.capacity) < 1:
+        if (isinstance(self.capacity, bool) or not isinstance(self.capacity, (int, np.integer))
+                or int(self.capacity) < 1):
             raise ValidationError("capacity", f"must be a positive integer, got {self.capacity!r}")
         profits.setflags(write=False)
         weights.setflags(write=False)
@@ -135,21 +146,6 @@ class OracleResult:
     feasible_count: int
 
     __eq__ = _fields_equal
-
-
-def qkp_objective(instance: QkpInstance, x) -> int:
-    """Profit of configuration x, counting both orderings of every pair."""
-    bits = as_bits(x, instance.n).astype(np.int64)
-    return int(bits @ instance.profits @ bits)
-
-
-def qkp_weight(instance: QkpInstance, x) -> int:
-    bits = as_bits(x, instance.n).astype(np.int64)
-    return int(instance.weights @ bits)
-
-
-def is_feasible(instance: QkpInstance, x) -> bool:
-    return qkp_weight(instance, x) <= instance.capacity
 
 
 def _read_int_line(line: str, lineno: int, expected: int) -> list[int]:
@@ -215,18 +211,18 @@ def _parse_json(text: str) -> QkpInstance:
         if key not in doc:
             raise ParseError(1, f"missing key {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError(1, f"n must be a positive integer, got {n!r}")
-    diag = doc["profits_diag"]
-    upper = doc["profits_upper"]
-    if len(diag) != n:
-        raise ParseError(1, f"profits_diag has {len(diag)} entries, expected {n}")
-    if len(upper) != n * (n - 1) // 2:
-        raise ParseError(1, f"profits_upper has {len(upper)} entries, expected {n * (n - 1) // 2}")
+    diag = _as_int_array(doc["profits_diag"], "profits_diag")
+    upper = _as_int_array(doc["profits_upper"], "profits_upper")
+    if diag.shape != (n,):
+        raise ParseError(1, f"profits_diag must be a list of {n} entries")
+    if upper.shape != (n * (n - 1) // 2,):
+        raise ParseError(1, f"profits_upper must be a list of {n * (n - 1) // 2} entries")
     profits = np.zeros((n, n), dtype=np.int64)
-    profits[np.triu_indices(n, k=1)] = _as_int_array(upper, "profits_upper")
+    profits[np.triu_indices(n, k=1)] = upper
     profits = profits + profits.T
-    np.fill_diagonal(profits, _as_int_array(diag, "profits_diag"))
+    np.fill_diagonal(profits, diag)
     return QkpInstance(
         name=doc["name"],
         n=n,
@@ -309,8 +305,8 @@ def generate_instance(
         raise ValidationError("wmax", "must be >= 1")
     if pmax < 1:
         raise ValidationError("pmax", "must be >= 1")
-    if cap_ratio <= 0.0:
-        raise ValidationError("cap_ratio", "must be positive")
+    if not 0.0 < cap_ratio < math.inf:
+        raise ValidationError("cap_ratio", f"must be positive and finite, got {cap_ratio}")
     rng = np.random.default_rng(seed)
     weights = rng.integers(1, wmax + 1, size=n, dtype=np.int64)
     diag = rng.integers(1, pmax + 1, size=n, dtype=np.int64)

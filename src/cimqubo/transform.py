@@ -231,17 +231,27 @@ def load_qubo_json(text: str) -> QuboDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
+    if not isinstance(doc, dict):
+        raise ParseError(1, "top-level JSON value must be an object")
     for key in ("mode", "dim", "offset", "encoding", "entries"):
         if key not in doc:
             raise ParseError(1, f"missing key {key!r}")
-    dim = doc["dim"]
+    if doc["mode"] not in (INEQUALITY_MODE, DQUBO_MODE):
+        raise ParseError(1, f"unknown mode {doc['mode']!r}")
+    dim, entries = doc["dim"], doc["entries"]
+    if type(dim) is not int or dim < 0:
+        raise ParseError(1, f"dim must be a nonnegative integer, got {dim!r}")
     if doc["encoding"] == "dense":
-        q = _as_int_array(doc["entries"], "entries", copy=False)
-        if q.shape != (dim, dim):
-            raise ParseError(1, f"dense entries have shape {q.shape}, expected ({dim}, {dim})")
+        if not (isinstance(entries, list) and len(entries) == dim
+                and all(isinstance(row, list) and len(row) == dim for row in entries)):
+            raise ParseError(1, f"dense entries must be {dim} rows of {dim} numbers")
+        q = _as_int_array(entries, "entries", copy=False)
     elif doc["encoding"] == "sparse":
+        triples = _as_int_array(entries, "entries")
+        if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
+            raise ParseError(1, "sparse entries must be [row, column, value] triples")
         q = np.zeros((dim, dim), dtype=np.int64)
-        for i, j, v in _as_int_array(doc["entries"], "entries").tolist():
+        for i, j, v in triples.tolist():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ParseError(1, f"sparse index ({i}, {j}) out of range for dim {dim}")
             q[i, j] = v

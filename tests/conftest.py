@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cimqubo import InequalityQuboModel, QkpInstance
+from cimqubo.filter_sim import VDD
 
 
 def ref_objective(profits, x):
@@ -48,20 +49,18 @@ def ref_constrained_energy(model, x):
 def ref_filter_check(weights, capacity, config, x, rng):
     """Working matchline and verdict of one filter read, replayed by hand.
 
-    The matchline is max(0, vdd - (d * wsum + d * g * sigma * sqrt(wsum)))
-    with d the unit drop (vdd / (2 * max(C, max w, 1)) when unset) and g one
-    standard normal drawn from rng only when sigma > 0 and wsum > 0.  The
-    input is feasible when that is at or above the replica, vdd - d * C.
+    The matchline is max(0, VDD - (d * wsum + d * g * sigma * sqrt(wsum)))
+    with d the unit drop VDD / (2 * max(C, max w)) and g one standard normal
+    drawn from rng only when sigma > 0 and wsum > 0.  The input is feasible
+    when that is at or above the replica, VDD - d * C.
     """
-    drop = config.unit_drop
-    if drop is None:
-        drop = config.vdd / (2.0 * max(capacity, max(weights, default=1), 1))
+    drop = VDD / (2.0 * max(capacity, *weights))
     wsum = ref_weight(weights, x)
     noise = 0.0
     if config.noise_sigma > 0 and wsum > 0:
         noise = drop * (rng.standard_normal() * config.noise_sigma * math.sqrt(wsum))
-    working = max(0.0, config.vdd - (drop * wsum + noise))
-    return working, working >= config.vdd - drop * capacity
+    working = max(0.0, VDD - (drop * wsum + noise))
+    return working, working >= VDD - drop * capacity
 
 
 def ref_anneal(problem, schedule, initial, seed):

@@ -1,5 +1,6 @@
 """Annealing schedules, single runs, gating semantics, batch orchestration."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,6 @@ from cimqubo import (
     default_schedule,
     flip_scale,
     generate_instance,
-    qkp_objective,
-    qkp_weight,
     sa_run,
     write_trajectory_csv,
 )
@@ -27,6 +26,7 @@ from conftest import (
     make_instance,
     ref_anneal,
     ref_constrained_energy,
+    ref_objective,
     ref_qubo_energy,
     ref_records_digest,
     ref_run_seed,
@@ -56,11 +56,20 @@ def test_schedule_single_iteration():
 
 def test_schedule_validation():
     with pytest.raises(ValidationError):
-        AnnealSchedule(iterations=0)
+        AnnealSchedule(iterations=0, t_start=1.0, t_end=0.01)
     with pytest.raises(ValidationError):
-        AnnealSchedule(t_end=0.0, t_start=1.0)
+        AnnealSchedule(iterations=10, t_end=0.0, t_start=1.0)
     with pytest.raises(ValidationError):
-        AnnealSchedule(t_start=0.1, t_end=1.0)
+        AnnealSchedule(iterations=10, t_start=0.1, t_end=1.0)
+
+
+@pytest.mark.parametrize("t_start, t_end", [
+    (math.nan, 5.0), (5.0, math.nan), (math.nan, math.nan), (math.inf, 5.0), (math.inf, math.inf),
+])
+def test_schedule_rejects_non_finite_temperatures(t_start, t_end):
+    # a NaN start passed every ordering check and froze the run: no proposal was ever accepted
+    with pytest.raises(ValidationError):
+        AnnealSchedule(iterations=200, t_start=t_start, t_end=t_end)
 
 
 def test_flip_scale_hand_value(tiny):
@@ -101,6 +110,14 @@ def test_crossbar_noise_needs_behavioral_backend(tiny):
             initial=[0, 0, 0],
             crossbar_noise_sigma=0.1,
         )
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_non_finite_crossbar_noise_is_rejected(tiny, sigma):
+    # a NaN sigma read as noiseless and returned the noiseless record
+    with pytest.raises(ValidationError, match="noise_sigma"):
+        batch_solve(tiny, "hycim", 1, 1, schedule=short(), backend="behavioral-cim",
+                    crossbar_noise_sigma=sigma)
 
 
 def test_filter_config_needs_behavioral_backend(tiny):
@@ -253,9 +270,9 @@ def test_best_value_consistent_with_best_config():
         dim = model.qubo.dim
         for seed in range(4):
             rec = sa_run(model, schedule=short(), initial=[0] * dim, seed=seed)
-            xs = rec.best_config[: inst.n]
-            if qkp_weight(inst, xs) <= inst.capacity:
-                assert rec.best_qkp_value == qkp_objective(inst, xs)
+            xs = rec.best_config[: inst.n].tolist()
+            if ref_weight(inst.weights.tolist(), xs) <= inst.capacity:
+                assert rec.best_qkp_value == ref_objective(inst.profits.tolist(), xs)
             else:
                 assert rec.best_qkp_value == 0
 
@@ -288,8 +305,9 @@ def test_noisy_crossbar_still_satisfies_record_invariants(tiny):
         seed=23,
         crossbar_noise_sigma=0.1,
     )
-    assert qkp_weight(tiny, rec.best_config) <= tiny.capacity
-    assert rec.best_qkp_value == qkp_objective(tiny, rec.best_config)
+    x = rec.best_config.tolist()
+    assert ref_weight(tiny.weights.tolist(), x) <= tiny.capacity
+    assert rec.best_qkp_value == ref_objective(tiny.profits.tolist(), x)
 
 
 def test_noisy_filter_runs(tiny):

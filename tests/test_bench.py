@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cimqubo import (
-    ConfigurationError,
+    CapacityError,
     FilterCase,
     FilterConfig,
     OverheadReport,
@@ -128,11 +128,9 @@ def test_success_study_parallel_matches_serial(tiny):
 
 
 def test_success_study_needs_optimum_for_large_instances():
-    big = generate_instance(30, seed=1)
-    with pytest.raises(ConfigurationError, match="best_known"):
-        success_rate_study(big, 1, 1, iterations=50)
-    rep = success_rate_study(big, 1, 1, iterations=50, best_known=1, master_seed=2)
-    assert rep.optimum == 1
+    # the optimum comes from the exhaustive oracle, which stops at 24 items
+    with pytest.raises(CapacityError, match="n <= 24"):
+        success_rate_study(generate_instance(25, seed=1), 1, 1, iterations=50)
 
 
 # ------------------------------------------------------- filter studies

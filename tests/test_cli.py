@@ -8,7 +8,6 @@ import pytest
 
 from cimqubo import (
     DEFAULT_PENALTY,
-    AnnealSchedule,
     FilterConfig,
     batch_solve,
     build_dqubo,
@@ -187,7 +186,6 @@ def test_penalty_defaults_agree_with_the_library(tiny_path):
         params = inspect.signature(fn).parameters
         assert params["alpha"].default == params["beta"].default == DEFAULT_PENALTY, fn.__name__
     iterations = library_default(default_schedule, "iterations")
-    assert AnnealSchedule().iterations == iterations
     filter_defaults = FilterConfig()
     counterparts = {
         ("gen", "--n", "5"): {
@@ -315,6 +313,18 @@ def test_bench_requires_instances(capsys):
 def test_missing_instance_is_an_error(capsys):
     assert main(["oracle", "nowhere.qkp"]) == 1
     assert "instance not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("profits_diag", 5), ("n", True), ("name", 7)])
+def test_malformed_json_instance_exits_1(tmp_path, capsys, key, value):
+    doc = {"name": "t", "n": 1, "profits_diag": [5], "profits_upper": [],
+           "capacity": 3, "weights": [2]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, key: value}))
+    assert main(["oracle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cimqubo: error:" in captured.err
 
 
 def test_instances_env_resolution(tmp_path, monkeypatch, capsys):

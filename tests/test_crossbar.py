@@ -1,5 +1,7 @@
 """Bit-plane programming and vector-matrix-vector reads."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,11 +27,21 @@ def plane_cells(model):
             for p in range(model.scale.size)]
 
 
+def reconstruct(model):
+    """The matrix the planes hold: each plane's cells times its signed weight, summed."""
+    cells = np.array(plane_cells(model), dtype=np.int64)
+    return QuboMatrix(np.tensordot(model.scale, cells, 1), offset=model.offset)
+
+
+def widest_stack(model):
+    """Planes in the wider of the two sign stacks."""
+    return max(abs(s) for s in model.scale.tolist()).bit_length()
+
+
 # ------------------------------------------------------- programming
 
 def test_program_single_signed_matrix():
     model = program_crossbar(q2())
-    assert model.bits == 3
     assert model.rows.dtype == np.uint64 and model.rows.shape == (2, 1, 3)
     assert model.scale.tolist() == [-1, -2, -4]   # one negative stack
     planes = plane_cells(model)
@@ -40,28 +52,26 @@ def test_program_single_signed_matrix():
 
 def test_reconstruct_is_exact():
     model = program_crossbar(q2())
-    assert model.reconstruct() == q2()
+    assert reconstruct(model) == q2()
 
 
 def test_program_mixed_sign_splits_stacks():
     q = QuboMatrix(np.array([[3, -2], [0, 5]]), offset=4)
     model = program_crossbar(q)
     # the positive stack (3 bits for 3 and 5) first, then the negative one (2 bits for 2)
-    assert model.bits == 3
     assert model.scale.tolist() == [1, 2, 4, -1, -2]
     assert plane_cells(model) == [
         [[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]],
         [[0, 0], [0, 0]], [[0, 1], [0, 0]],
     ]
-    assert model.reconstruct() == q
+    assert reconstruct(model) == q
 
 
 def test_program_zero_matrix():
     model = program_crossbar(QuboMatrix(np.zeros((3, 3), dtype=np.int64)))
-    assert model.bits == 1
     assert model.scale.tolist() == [-1]   # one all-zero negative stack
     assert plane_cells(model) == [[[0] * 3] * 3]
-    assert model.reconstruct().q.tolist() == np.zeros((3, 3)).tolist()
+    assert reconstruct(model).q.tolist() == np.zeros((3, 3)).tolist()
 
 
 def test_program_round_trips_across_word_boundaries():
@@ -69,7 +79,7 @@ def test_program_round_trips_across_word_boundaries():
     for dim in (1, 63, 64, 65, 129):
         q = QuboMatrix(rng.integers(-2**40, 2**40, size=(dim, dim)), offset=int(rng.integers(-9, 10)))
         model = program_crossbar(q)
-        assert model.reconstruct() == q
+        assert reconstruct(model) == q
         programmed = sum(bin(abs(v)).count("1") for row in q.q.tolist() for v in row)
         assert np.bitwise_count(model.rows).sum() == programmed
 
@@ -80,12 +90,14 @@ def test_programmed_bits_cover_quantization_width():
         n = int(rng.integers(1, 10))
         q = QuboMatrix(rng.integers(-200, 201, size=(n, n)))
         model = program_crossbar(q)
-        assert model.bits >= quantization_info(q).bits
+        assert widest_stack(model) >= quantization_info(q).bits
 
 
 def test_program_rejects_negative_sigma():
-    with pytest.raises(ValidationError, match="noise_sigma"):
-        program_crossbar(q2(), noise_sigma=-0.1)
+    for sigma in (-0.1, math.nan, math.inf):
+        # a NaN sigma passed the sign check and read as noiseless
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            program_crossbar(q2(), noise_sigma=sigma)
 
 
 # ------------------------------------------------------- noiseless reads

@@ -1,13 +1,13 @@
 """Array geometry checks, matchline voltages, replica comparison, feasibility decisions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from cimqubo import (
     CapacityError,
-    ConfigurationError,
     FilterConfig,
     SamplingError,
     ValidationError,
@@ -17,6 +17,7 @@ from cimqubo import (
     generate_instance,
     sample_balanced_configs,
 )
+from cimqubo.filter_sim import VDD
 
 from conftest import make_instance
 
@@ -72,33 +73,22 @@ def test_sample_balanced_configs_rejects_fractional_weights():
 
 def test_matchline_idle_at_vdd():
     model = build_filter([4, 7, 2], 9)
-    assert filter_check(model, [0, 0, 0]).working_ml == 2.0
+    assert VDD == 2.0
+    assert filter_check(model, [0, 0, 0]).working_ml == VDD
 
 
 def test_matchline_linear_drop():
-    cfg = FilterConfig(unit_drop=0.05)
-    model = build_filter([4, 7, 2], 9, cfg)
-    assert filter_check(model, [1, 1, 0]).working_ml == pytest.approx(1.45)
-    assert model.replica_ml == pytest.approx(1.55)
+    model = build_filter([4, 7, 2], 9)   # 2 V / (2 x 9) = 1/9 V per weight unit
+    assert filter_check(model, [0, 0, 1]).working_ml == pytest.approx(2.0 - 2 / 9)
+    assert filter_check(model, [1, 1, 0]).working_ml == pytest.approx(2.0 - 11 / 9)
+    assert model.replica_ml == pytest.approx(1.0)
     assert not filter_check(model, [1, 1, 0]).feasible
 
 
 def test_matchline_clamps_at_zero():
-    model = build_filter([3, 3], 1, FilterConfig(unit_drop=0.5))
-    assert model.replica_ml == 1.5
-    assert filter_check(model, [1, 1]).working_ml == 0.0
-
-
-def test_saturated_replica_is_rejected():
-    # 0.25 x 9 = 2.25 V discharges the replica to the 0 V clamp, where the
-    # over-weight [1, 1, 0] (11 > 9) would tie with it and pass
-    with pytest.raises(ConfigurationError, match="saturates"):
-        build_filter([4, 7, 2], 9, FilterConfig(unit_drop=0.25))
-    with pytest.raises(ConfigurationError, match="saturates"):
-        build_filter([4, 7, 2], 8, FilterConfig(unit_drop=0.25))
-    model = build_filter([4, 7, 2], 7, FilterConfig(unit_drop=0.25))
-    assert model.replica_ml == pytest.approx(0.25)
-    assert not filter_check(model, [1, 1, 0]).feasible
+    model = build_filter([3, 3, 3], 3)   # 1/3 V per weight unit, so 9 units reach -1 V
+    assert model.replica_ml == 1.0
+    assert filter_check(model, [1, 1, 1]).working_ml == 0.0
 
 
 def test_equal_weight_sums_give_equal_voltage():
@@ -110,10 +100,10 @@ def test_equal_weight_sums_give_equal_voltage():
 
 def test_auto_unit_drop_puts_replica_mid_rail():
     model = build_filter([4, 7, 2], 9)
-    assert model.config.unit_drop == pytest.approx(2.0 / 18.0)
+    assert model.unit_drop == pytest.approx(2.0 / 18.0)
     assert model.replica_ml == pytest.approx(1.0)
     big = build_filter([30, 2], 9)   # max weight dominates the scale
-    assert big.config.unit_drop == pytest.approx(2.0 / 60.0)
+    assert big.unit_drop == pytest.approx(2.0 / 60.0)
 
 
 # ------------------------------------------------------- feasibility decisions
@@ -161,7 +151,7 @@ def test_noise_is_reproducible_and_unbiased():
     rng = np.random.default_rng(7)
     samples = [filter_check(model, [1, 1, 1], rng).working_ml for _ in range(3000)]
     # per-event sigma 0.05 over 13 events, mean of 3000 draws stays within 4 sigma
-    tol = 4 * model.config.unit_drop * 0.05 * np.sqrt(13) / np.sqrt(3000)
+    tol = 4 * model.unit_drop * 0.05 * np.sqrt(13) / np.sqrt(3000)
     assert abs(np.mean(samples) - ideal) < tol
 
 
@@ -172,7 +162,7 @@ def test_matchline_noise_variance_scales_with_weight_sum():
     for x, wsum in (([1, 1, 1], 13), ([0, 1, 0], 7)):
         samples = np.array([filter_check(model, x, rng).working_ml for _ in range(4000)])
         assert samples.min() > 0   # never clamped, so the variance is the noise's
-        want = (model.config.unit_drop * sigma) ** 2 * wsum
+        want = (model.unit_drop * sigma) ** 2 * wsum
         assert samples.var() == pytest.approx(want, rel=0.1)
 
 
@@ -228,12 +218,10 @@ def test_filter_config_validation():
         FilterConfig(rows=0)
     with pytest.raises(ValidationError):
         FilterConfig(levels_per_cell=0)
-    with pytest.raises(ValidationError):
-        FilterConfig(vdd=-1.0)
-    with pytest.raises(ValidationError):
-        FilterConfig(unit_drop=0.0)
-    with pytest.raises(ValidationError):
-        FilterConfig(noise_sigma=-0.1)
+    for sigma in (-0.1, math.nan, math.inf):
+        # a NaN sigma passed the sign check and read as noiseless
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            FilterConfig(noise_sigma=sigma)
 
 
 def test_capacity_must_fit_replica():

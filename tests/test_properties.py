@@ -35,6 +35,7 @@ from cimqubo import (
     sa_run,
     vmv_energy,
 )
+from cimqubo.filter_sim import VDD
 
 from conftest import (
     make_instance,
@@ -186,38 +187,53 @@ def test_dqubo_ground_state_is_the_optimum_at_sound_penalties(inst):
 
 @st.composite
 def filter_setups(draw, over_budget=False):
-    """Weights within one column budget, a capacity the replica can hold and a
-    unit drop that keeps the replica matchline off zero (None: the default),
-    or one near the float64 resolution of vdd.  With over_budget the weights
-    and the capacity may also exceed their budgets by up to one column."""
-    rows, levels = draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    """Weights within one column budget and a capacity the replica can hold.
+    Columns of up to 2^52 rows hold weights and capacities past 2^53, where
+    the drop per weight unit nears the float64 resolution of VDD.  With
+    over_budget the weights and the capacity may also exceed their budgets by
+    up to one column."""
+    rows = draw(st.integers(1, 16) | st.integers(1, 2**52))
+    levels = draw(st.integers(1, 8))
     budget = rows * levels
     slack = budget if over_budget else 0
     n = draw(st.integers(1, 6))
     weights = draw(st.lists(st.integers(0, budget + slack), min_size=n, max_size=n))
     capacity = draw(st.integers(1, n * budget + slack))
-    vdd = draw(st.floats(0.1, 5.0))
-    share = st.floats(0.01, 0.99).map(lambda s: s * vdd / capacity)  # of vdd, taken by the capacity
-    unit_drop = draw(st.none() | share | st.floats(1e-17, 1e-13))
-    return weights, capacity, FilterConfig(rows=rows, levels_per_cell=levels, vdd=vdd,
-                                           unit_drop=unit_drop)
+    return weights, capacity, FilterConfig(rows=rows, levels_per_cell=levels)
+
+
+# 2 - (2^54 - 1) / 2^54 and 2 - 2^54 / 2^54 round to the same float64 value,
+# so weight 2^54 would read like the capacity 2^54 - 1
+RESOLUTION_LIMIT = ([2**54], 2**54 - 1, FilterConfig(rows=2**52, levels_per_cell=4))
 
 
 @common
 @given(setup=filter_setups())
-# 2.0 - 1e-17 rounds back to 2.0: weight 2 would read like the capacity 1
-@example(setup=([2], 1, FilterConfig(vdd=2.0, unit_drop=1e-17)))
+@example(setup=RESOLUTION_LIMIT)
 def test_noiseless_filter_is_the_weight_inequality(setup):
     weights, capacity, config = setup
     try:
         model = build_filter(weights, capacity, config)
     except ConfigurationError:
         # refused only when capacity and capacity + 1 leave the same matchline
-        drop = config.unit_drop
-        assert config.vdd - drop * capacity == config.vdd - drop * (capacity + 1)
+        drop = VDD / (2.0 * max(capacity, *weights))
+        assert VDD - drop * capacity == VDD - drop * (capacity + 1)
         return
     for x in itertools.product((0, 1), repeat=len(weights)):
         assert filter_check(model, list(x)).feasible == (ref_weight(weights, x) <= capacity)
+
+
+@common
+@given(setup=filter_setups())
+@example(setup=([3], 3, FilterConfig()))
+def test_replica_matchline_sits_at_half_vdd_or_above(setup):
+    # the replica never discharges to the 0 V clamp, where every over-weight
+    # input would tie with it and pass
+    try:
+        model = build_filter(*setup)
+    except ConfigurationError:
+        return
+    assert model.replica_ml >= VDD / 2
 
 
 @common
@@ -304,7 +320,8 @@ def wide_instances(draw):
     upper = np.array(upper, dtype=np.int64).reshape(n, n)
     profits = np.triu(upper) + np.triu(upper, k=1).T
     weights = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
-    name = draw(st.text("abcxyz0189_-.", min_size=1, max_size=12))
+    # inner spaces survive the text format's name line; surrounding ones are refused
+    name = draw(st.text("abcxyz0189_-. ", min_size=1, max_size=12).map(str.strip).filter(bool))
     return make_instance(profits, weights, draw(st.integers(1, 2**40)), name=name)
 
 

@@ -1,6 +1,7 @@
 """Instance model, serialization, objective, generator, oracle."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,12 +17,11 @@ from cimqubo import (
     brute_force_oracle,
     dump_instance,
     generate_instance,
+    build_filter,
+    filter_check,
     infer_format,
-    is_feasible,
     load_instance,
     parse_instance,
-    qkp_objective,
-    qkp_weight,
     save_instance,
 )
 from cimqubo import qkp
@@ -35,30 +35,22 @@ TINY_TEXT = "tiny3\n3\n5 3 4\n2 0\n1\n9\n4 7 2\n"
 
 def test_objective_counts_both_orderings(tiny):
     # pair profit 2 between items 1,2 contributes 4 when both are selected
-    assert qkp_objective(tiny, [1, 1, 0]) == 5 + 3 + 2 * 2
+    assert ref_objective(tiny.profits.tolist(), [1, 1, 0]) == 5 + 3 + 2 * 2
 
 
 def test_objective_frozen_values(tiny):
-    assert qkp_objective(tiny, [1, 0, 1]) == 9
-    assert qkp_weight(tiny, [1, 0, 1]) == 6
-    assert qkp_objective(tiny, [1, 1, 1]) == 18
-    assert qkp_weight(tiny, [1, 1, 1]) == 13
-    assert qkp_objective(tiny, [0, 0, 0]) == 0
-
-
-def test_objective_matches_reference_loops():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n = int(rng.integers(2, 9))
-        inst = generate_instance(n, density=0.7, wmax=9, pmax=12, seed=int(rng.integers(1000)))
-        x = rng.integers(0, 2, size=n).tolist()
-        assert qkp_objective(inst, x) == ref_objective(inst.profits.tolist(), x)
-        assert qkp_weight(inst, x) == ref_weight(inst.weights.tolist(), x)
+    profits, weights = tiny.profits.tolist(), tiny.weights.tolist()
+    assert ref_objective(profits, [1, 0, 1]) == 9
+    assert ref_weight(weights, [1, 0, 1]) == 6
+    assert ref_objective(profits, [1, 1, 1]) == 18
+    assert ref_weight(weights, [1, 1, 1]) == 13
+    assert ref_objective(profits, [0, 0, 0]) == 0
 
 
 def test_feasibility_boundary(tiny):
-    assert is_feasible(tiny, [0, 1, 1])       # weight 9 == capacity
-    assert not is_feasible(tiny, [1, 1, 0])   # weight 11
+    model = build_filter(tiny.weights, tiny.capacity)
+    assert filter_check(model, [0, 1, 1]).feasible       # weight 9 == capacity
+    assert not filter_check(model, [1, 1, 0]).feasible   # weight 11
 
 
 # ---------------------------------------------------------------- validation
@@ -150,6 +142,28 @@ def test_parse_error_on_wrong_token_count():
         parse_instance("tiny3\n3\n5 3\n2 0\n1\n9\n4 7 2\n")
 
 
+@pytest.mark.parametrize("name", ["", " a", "a ", "a\nb", "a\rb", "\n", 7, None])
+def test_instance_name_must_be_one_trimmed_line(name):
+    # the text format keeps the name on its first line, stripped
+    with pytest.raises(ValidationError, match="name"):
+        make_instance([[1]], [1], 1, name=name)
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("profits_diag", 5, ParseError),
+    ("profits_upper", [[1]], ParseError),
+    ("n", True, ParseError),
+    ("name", 7, ValidationError),
+    ("capacity", True, ValidationError),
+    ("weights", [[1, 2], [3]], ValidationError),
+])
+def test_json_rejects_malformed_fields(key, value, error):
+    doc = {"name": "t", "n": 2, "profits_diag": [3, 2], "profits_upper": [1],
+           "capacity": 3, "weights": [1, 2]}
+    with pytest.raises(error, match=key):
+        parse_instance(json.dumps({**doc, key: value}), "json")
+
+
 def test_file_round_trip_both_formats(tiny, tmp_path):
     for fname in ("t.qkp", "t.json"):
         path = tmp_path / fname
@@ -222,8 +236,9 @@ def test_generator_rejects_bad_params():
         generate_instance(1)
     with pytest.raises(ValidationError):
         generate_instance(5, density=1.5)
-    with pytest.raises(ValidationError):
-        generate_instance(5, cap_ratio=0.0)
+    for cap_ratio in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="cap_ratio"):
+            generate_instance(5, cap_ratio=cap_ratio)
 
 
 # ---------------------------------------------------------------- oracle
@@ -237,7 +252,7 @@ def test_oracle_on_tiny(tiny):
 
 def test_oracle_tie_breaks_toward_smallest_k(tiny):
     # [1,0,1] (k=5) and [0,1,1] (k=6) both score 9; the smaller k wins
-    assert qkp_objective(tiny, [0, 1, 1]) == 9
+    assert ref_objective(tiny.profits.tolist(), [0, 1, 1]) == 9
     assert brute_force_oracle(tiny).best_config.tolist() == [1, 0, 1]
 
 
@@ -318,8 +333,9 @@ def test_oracle_is_pinned_to_full_enumeration(n, seed, pinned):
     res = brute_force_oracle(inst)
     k = sum(int(b) << i for i, b in enumerate(res.best_config))
     assert (res.best_value, k, res.feasible_count) == pinned
-    assert qkp_objective(inst, res.best_config) == res.best_value
-    assert is_feasible(inst, res.best_config)
+    x = res.best_config.tolist()
+    assert ref_objective(inst.profits.tolist(), x) == res.best_value
+    assert ref_weight(inst.weights.tolist(), x) <= inst.capacity
 
 
 @pytest.mark.parametrize("block", [1, 8])

@@ -19,6 +19,7 @@ REMOVED = {
     "report_filename", "_parse_transform_mode", "_dqubo_max_abs", "SignedPlanes",
     "constrained_energy", "linearity_sweep", "WeightPlane", "ReplicaConfig",
     "decompose_weights", "build_replica", "evaluate_ml",
+    "qkp_objective", "qkp_weight", "is_feasible", "bits", "reconstruct", "vdd", "unit_drop",
 }
 
 # the full parameter lists of the functions that lost an option: the option
@@ -27,7 +28,7 @@ PARAMETERS = {
     anneal.sa_run: ["problem", "backend", "schedule", "initial", "seed", "filter_config",
                     "crossbar_noise_sigma", "record_trajectory"],
     bench.success_rate_study: ["instance", "num_initials", "runs_per_initial", "master_seed",
-                               "iterations", "alpha", "beta", "best_known", "jobs"],
+                               "iterations", "alpha", "beta", "jobs"],
     bench.filter_suite: ["instances", "configs_per_instance", "seed"],
     bench.overhead_report: ["instance", "alpha", "beta"],
     filter_sim.sample_balanced_configs: ["weights", "capacity", "num_feasible",
@@ -43,6 +44,32 @@ def test_all_names_are_unique_and_resolve():
         assert hasattr(cimqubo, name), name
 
 
+def _loaded_names(path):
+    """Names a module reads, as bare names or attributes, outside the
+    statement that defines them; imports bind names without reading them."""
+    used = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        defined = set()
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = {stmt.name}
+        elif isinstance(stmt, ast.Assign):
+            defined = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+        read = {node.id for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        used |= read - defined
+    return used
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    package = Path(cimqubo.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [p for p in (package.parents[1] / "perfbench").glob("*.py")
+                if not p.name.startswith("test_")]
+    used = set().union(*map(_loaded_names, sources))
+    assert sorted(set(cimqubo.__all__) - used) == []
+
+
 def test_load_qubo_json_return_type_is_exported():
     assert cimqubo.QuboDocument is transform.QuboDocument
     assert "QuboDocument" in cimqubo.__all__
@@ -52,6 +79,8 @@ def test_removed_names_are_gone():
     assert not REMOVED & set(cimqubo.__all__)
     for module in (cimqubo, bench, cli, crossbar_sim, filter_sim, qkp, transform):
         assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
+    for cls in (crossbar_sim.CrossbarModel, filter_sim.FilterConfig):
+        assert not REMOVED & set(dir(cls)), cls.__name__
     assert not hasattr(qkp.QkpInstance, "vacuous_constraint")
     assert "sign" not in crossbar_sim.CrossbarModel.__dataclass_fields__
     assert not hasattr(crossbar_sim.CrossbarModel, "planes")
@@ -61,7 +90,9 @@ def test_removed_options_are_gone():
     for fn, params in PARAMETERS.items():
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
     assert list(filter_sim.FilterConfig.__dataclass_fields__) == [
-        "rows", "levels_per_cell", "vdd", "unit_drop", "noise_sigma"]
+        "rows", "levels_per_cell", "noise_sigma"]
+    # one schedule default only: default_schedule's
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(anneal.AnnealSchedule))
 
 
 def test_modules_have_no_unused_imports():
@@ -88,7 +119,7 @@ def test_programmed_quantities_are_stored_once():
     assert not {"parts", "_read_stack"} & set(dir(crossbar_sim.CrossbarModel))
     fields = {cls: set(cls.__dataclass_fields__)
               for cls in (filter_sim.FilterModel, transform.InequalityQuboModel, transform.DQuboModel)}
-    assert fields[filter_sim.FilterModel] == {"weights", "config", "replica_ml"}
+    assert fields[filter_sim.FilterModel] == {"weights", "unit_drop", "config", "replica_ml"}
     assert not {"weights", "capacity"} & fields[transform.InequalityQuboModel]
     assert not {"n", "capacity"} & fields[transform.DQuboModel]
 

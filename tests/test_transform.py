@@ -17,7 +17,6 @@ from cimqubo import (
     dump_qubo_json,
     generate_instance,
     load_qubo_json,
-    qkp_objective,
     quantization_info,
 )
 
@@ -107,7 +106,7 @@ def test_dqubo_consistent_onehot_recovers_negated_objective(tiny):
             continue
         y = [0] * 9
         y[wsum - 1] = 1
-        assert model.qubo.energy(list(bits) + y) == -qkp_objective(tiny, bits)
+        assert model.qubo.energy(list(bits) + y) == -ref_objective(tiny.profits.tolist(), bits)
 
 
 def test_dqubo_violating_configs_keep_positive_penalty(tiny):
@@ -116,7 +115,7 @@ def test_dqubo_violating_configs_keep_positive_penalty(tiny):
     for bits in itertools.product((0, 1), repeat=3):
         if int(np.dot([4, 7, 2], bits)) <= 9:
             continue
-        obj = qkp_objective(tiny, bits)
+        obj = ref_objective(tiny.profits.tolist(), bits)
         penalties = [
             model.qubo.energy(list(bits) + list(y)) + obj
             for y in itertools.product((0, 1), repeat=9)
@@ -149,7 +148,7 @@ def test_default_penalty_ground_state_is_over_weight():
     x = configs[ground[0]]
     assert x.tolist() == [1] * 7 + [0] * 6 + [1, 1]
     assert energies.min() == -148
-    assert qkp_objective(inst, x[:7]) == 152
+    assert ref_objective(inst.profits.tolist(), x[:7].tolist()) == 152
     assert int(inst.weights @ x[:7]) == 16
     assert brute_force_oracle(inst).best_value == 80
 
@@ -297,6 +296,28 @@ def test_qubo_json_error_paths():
         )
     with pytest.raises(ParseError):
         load_qubo_json("not json")
+    with pytest.raises(ParseError, match="object"):
+        load_qubo_json("[1, 2]")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"dim": "2"}, "dim"),
+    ({"dim": -1}, "dim"),
+    ({"dim": True}, "dim"),
+    ({"mode": "zzz"}, "mode"),
+    ({"encoding": "sparse", "entries": [[0, 1]]}, "triples"),
+    ({"encoding": "sparse", "entries": [0, 1, 2]}, "triples"),
+    ({"entries": [[1, 2], [3]]}, "2 rows of 2"),
+    ({"entries": [[1, 2]]}, "2 rows of 2"),
+    ({"entries": 5}, "2 rows of 2"),
+], ids=["dim-string", "dim-negative", "dim-bool", "mode", "sparse-pair", "sparse-flat",
+        "dense-ragged", "dense-short", "dense-scalar"])
+def test_qubo_json_rejects_malformed_structure(changes, message):
+    doc = {"mode": "inequality", "dim": 2, "offset": 0, "encoding": "dense",
+           "entries": [[1, 2], [3, 4]]}
+    assert load_qubo_json(json.dumps(doc)).qubo.q.tolist() == [[1, 2], [3, 4]]
+    with pytest.raises(ParseError, match=message):
+        load_qubo_json(json.dumps({**doc, **changes}))
 
 
 @pytest.mark.parametrize("encoding, key, fractional, integral", [
