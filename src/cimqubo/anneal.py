@@ -24,6 +24,12 @@ sits at energy zero and over-weight proposals are accepted as zero-energy
 drift without touching the crossbar; once a feasible configuration has been
 accepted, over-weight proposals are filter-rejected outright and the walk
 never leaves the feasible region.
+
+Energies, fields and thresholds share one lane per context: int32 when
+energy_bound() + 1 fits, else int64, and float64 under crossbar read noise; no
+energy or change exceeds the bound.  Fields start as one float64 x @ r0, exact
+as each partial sum is a subset sum within energy_bound() <= 2^53.  An integer
+dE < T g iff dE < ceil(T g), so lane thresholds are ceil(T g) in [1, bound + 1].
 """
 from __future__ import annotations
 
@@ -49,14 +55,13 @@ MODE_DQUBO = "dqubo"
 BACKEND_EXACT = "exact-software"
 BACKEND_CIM = "behavioral-cim"
 
-# Pregenerated draws per lockstep block: the flip and gate buffers take 8 MiB each.
+# Pregenerated draws per lockstep block: the gate buffer takes 4 MiB in the int32 lane.
 _BLOCK_DRAWS = 1 << 20
+_DRAW_CHUNK = 64  # runs whose float64 gate draws are scaled together, 512 KiB at 1000 steps
 # t_end / t_start of the default schedule, also used when only t_start is given
 COOLING_RATIO = 0.5
 # annealing steps per run unless a schedule or caller says otherwise
 DEFAULT_ITERATIONS = 1000
-# delta = 1 - 2 x_j looked up by x_j: +1 when a flip switches bit j on, -1 when off
-_FLIP_SIGN = np.array([1, -1])
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,8 @@ class _Context:
             raise ConfigurationError("filter_config needs the behavioral-cim backend")
         qubo = problem.qubo
         bound = qubo.energy_bound()
-        # the vectorized Metropolis test compares int64 energy changes with
-        # float64 thresholds, which is exact only for magnitudes up to 2^53
+        # the float64 set-up product x @ r0 and the thresholds ceil(T g) are
+        # exact only for integers up to 2^53
         if bound > _FLOAT_EXACT:
             raise ConfigurationError(
                 f"energies up to {bound} exceed 2^53, beyond exact Metropolis comparisons"
@@ -153,14 +158,22 @@ class _Context:
         self.weights[: self.instance.n] = self.instance.weights
         self.iterations = schedule.iterations
         self.temps = schedule.temperatures()
+        lane = np.int32 if bound + 1 <= np.iinfo(np.int32).max else np.int64
+        # delta = 1 - 2 x_j looked up by x_j: +1 when a flip switches bit j on, -1 when off
+        self.flip_sign = np.array([1, -1], dtype=lane)
+        self.crossbar_noisy = crossbar_noise_sigma > 0
+        self.energy_dtype = np.float64 if self.crossbar_noisy else lane
+        # T g floored above 0 passes every dE <= 0 and no dE > 0; ceil(T g) is floored at 1
+        # and capped at bound + 1 as the least integer float above bound (2^53 + 1 rounds down)
+        self.threshold_clip = ((np.finfo(np.float64).smallest_subnormal, math.inf) if self.crossbar_noisy
+                               else (1, math.ceil(math.nextafter(bound, math.inf))))
         if backend == BACKEND_EXACT:
             r0 = qubo.q + qubo.q.T
             np.fill_diagonal(r0, 0)
-            self.r0 = r0
-            self.diag = np.diagonal(qubo.q)
+            self.r0 = r0.astype(lane)
+            self.diag = np.diagonal(qubo.q).astype(lane)
         else:
             self.crossbar = program_crossbar(qubo, noise_sigma=crossbar_noise_sigma)
-            self.crossbar_noisy = crossbar_noise_sigma > 0
             self.filter_model = None  # dqubo proposals are never gated
             if self.mode == MODE_HYCIM:
                 self.filter_model = build_filter(
@@ -190,32 +203,37 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     hycim = ctx.mode == MODE_HYCIM
     # drawn as int64 from each run's generator, stored in the smallest dtype that holds them
     flips = np.empty((iters, runs), dtype=np.min_scalar_type(ctx.dim - 1))
-    thresholds = np.empty((iters, runs))
-    rngs = []
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        flips[:, r] = rng.integers(0, ctx.dim, size=iters)
+    thresholds = np.empty((iters, runs), dtype=ctx.energy_dtype)
+    draws = np.empty((min(runs, _DRAW_CHUNK), iters))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for start in range(0, runs, len(draws)):
+        chunk = draws[: min(runs - start, len(draws))]
+        for r, rng in enumerate(rngs[start:start + len(chunk)], start):
+            flips[:, r] = rng.integers(0, ctx.dim, size=iters)
+            rng.random(out=chunk[r - start])
         # Metropolis thresholds: accept dE > 0 iff dE < T * g with g = -log u
-        thresholds[:, r] = -np.log(rng.random(size=iters))
-        rngs.append(rng)
-    thresholds *= ctx.temps[:, None]
-    # a positive floor makes dE < threshold pass every dE <= 0 and no dE > 0
-    np.maximum(thresholds, np.finfo(np.float64).smallest_subnormal, out=thresholds)
+        np.log(chunk, out=chunk)
+        chunk *= -ctx.temps
+        if not ctx.crossbar_noisy:
+            np.ceil(chunk, out=chunk)
+        thresholds[:, start:start + len(chunk)] = np.clip(chunk, *ctx.threshold_clip, out=chunk).T
 
     x = np.array([as_bits(v, ctx.dim) for v in initials])
     xf = x.reshape(-1)
     base = np.arange(runs) * ctx.dim  # flat offset of each run's row
     wsum = x @ ctx.weights
     if exact:
-        xl = x.astype(np.int64)
-        qf = np.einsum("ri,ij,rj->r", xl, ctx.qubo.q, xl) + ctx.qubo.offset
-        # flipping bit j changes x^T q x by delta * field[r, j]
-        field = xl @ ctx.r0 + ctx.diag
+        del rngs  # 1.5 KiB per run; only the behavioral backend draws from them again
+        # flipping bit j changes x^T q x by delta * field[r, j]; x @ r0 is exact in float64
+        field = np.matmul(x, ctx.r0, dtype=np.float64).astype(np.int64) + ctx.diag
+        # x^T q x = sum_j x_j (field_j + q_jj) / 2, summed in int64 since it may pass the lane
+        qf = np.einsum("ri,ri->r", field + ctx.diag, x) // 2 + ctx.qubo.offset
+        field, qf = field.astype(ctx.energy_dtype), qf.astype(ctx.energy_dtype)
         fieldf = field.reshape(-1)
         feas = wsum <= cap if hycim else np.ones(runs, dtype=bool)
         energy = np.where(feas, qf, 0)
     else:
-        zeros = np.zeros(runs, dtype=np.float64 if ctx.crossbar_noisy else np.int64)
+        zeros = np.zeros(runs, dtype=ctx.energy_dtype)
         feas, energy = _cim_evaluate(ctx, x, rngs, zeros)
         if feas is None:
             feas = np.ones(runs, dtype=bool)
@@ -233,7 +251,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     for i in range(iters):
         j = flips[i]
         pos = base + j
-        delta = _FLIP_SIGN[xf[pos]]
+        delta = ctx.flip_sign[xf[pos]]
         if track_weight:
             wn = wsum + delta * ctx.weights[j]
         if exact:
@@ -288,6 +306,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     profit = np.einsum("ri,ij,rj->r", xs, ctx.instance.profits, xs)
     values = np.where(xs @ ctx.instance.weights <= cap, profit, 0)
     records = []
+    counts = list(range(iters + 1))  # shared by the records, as a study keeps thousands
     for r, seed in enumerate(seeds):
         traj = None
         if record_trajectory:
@@ -300,8 +319,8 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
             best_config=best_x[r],
             best_qkp_value=int(values[r]),
             trajectory=traj,
-            filter_rejections=iters - int(evaluations[r]),
-            evaluations=int(evaluations[r]),
+            filter_rejections=counts[iters - evaluations[r]],
+            evaluations=counts[evaluations[r]],
         ))
     return records
 

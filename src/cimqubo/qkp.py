@@ -297,14 +297,15 @@ def generate_instance(
     nonzero with probability density with a value uniform on [1, pmax]; the
     diagonal is always drawn.  capacity = max(1, round(cap_ratio * sum(w))).
     """
+    n, wmax, pmax = (int(_as_int_array(value, label))
+                     for label, value in (("n", n), ("wmax", wmax), ("pmax", pmax)))
     if n < 2:
         raise ValidationError("n", "generator needs n >= 2")
     if not 0.0 <= density <= 1.0:
         raise ValidationError("density", f"must be in [0, 1], got {density}")
-    if wmax < 1:
-        raise ValidationError("wmax", "must be >= 1")
-    if pmax < 1:
-        raise ValidationError("pmax", "must be >= 1")
+    for label, value in (("wmax", wmax), ("pmax", pmax)):
+        if value < 1:
+            raise ValidationError(label, "must be >= 1")
     if not 0.0 < cap_ratio < math.inf:
         raise ValidationError("cap_ratio", f"must be positive and finite, got {cap_ratio}")
     rng = np.random.default_rng(seed)
@@ -317,7 +318,7 @@ def generate_instance(
     profits[iu] = np.where(present[iu], values[iu], 0)
     profits = profits + profits.T
     np.fill_diagonal(profits, diag)
-    capacity = max(1, round(cap_ratio * float(weights.sum())))
+    capacity = max(1, round(cap_ratio * float(sum(weights.tolist()))))  # int64 sums can wrap
     meta = {
         "seed": seed,
         "params": {"n": n, "density": density, "wmax": wmax, "pmax": pmax, "cap_ratio": cap_ratio},

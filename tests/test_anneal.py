@@ -378,7 +378,8 @@ def test_records_do_not_depend_on_block_size(monkeypatch, backend):
 
 
 def test_batch_memory_is_bounded():
-    # 1000 dqubo runs over 120 bits: one lockstep block plus the kept records
+    # 1000 dqubo runs over 120 bits: one lockstep block plus the kept records.  The
+    # block's gates sit in the int32 lane; a float64 gate buffer alone takes 8 MiB.
     inst = criterion7_instance()
     tracemalloc.start()
     try:
@@ -386,7 +387,7 @@ def test_batch_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 10 * 2**20
 
 
 def test_energy_bound_guard():

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cimqubo import (
+    DEFAULT_PENALTY,
     JSON_FORMAT,
     TEXT_FORMAT,
     AnnealSchedule,
@@ -114,6 +115,10 @@ def test_lockstep_run_equals_plain_loop_replay(inst, mode, backend, iterations, 
     problem = BUILDS[mode](inst)
     initial = bits[: problem.qubo.dim]
     schedule = AnnealSchedule(iterations=iterations, t_start=t_start, t_end=t_start * cooling)
+    assert_replays(problem, backend, schedule, initial, seed)
+
+
+def assert_replays(problem, backend, schedule, initial, seed):
     rec = sa_run(problem, backend=backend, schedule=schedule, initial=initial, seed=seed,
                  record_trajectory=True)
     ref = ref_anneal(problem, schedule, initial, seed)
@@ -121,6 +126,59 @@ def test_lockstep_run_equals_plain_loop_replay(inst, mode, backend, iterations, 
     assert rec.trajectory == ref["trajectory"]
     for name in ("best_energy", "best_qkp_value", "evaluations", "filter_rejections"):
         assert getattr(rec, name) == ref[name], name
+
+
+INT32_MAX = 2**31 - 1
+TINY = 5e-324  # the smallest positive float64: T g underflows to 0
+
+
+def hycim_diag(diag):
+    return build_inequality_qubo(make_instance(np.diag(diag), [1] * len(diag), len(diag)))
+
+
+@st.composite
+def lane_boundary_runs(draw):
+    """A problem scaled so that energy_bound() lies a few steps either side of
+    2^31 - 1, the last bound whose bound + 1 fits int32, with a schedule that
+    is frozen, scaled to the energies, or hot past any energy change."""
+    inst, mode = draw(instances()), draw(st.sampled_from(sorted(BUILDS)))
+    unit = BUILDS[mode](inst).qubo.energy_bound()
+    assume(unit > 0)
+    scale = draw(st.integers(max(1, INT32_MAX // unit - 1), INT32_MAX // unit + 2))
+    scaled = make_instance(inst.profits * scale, inst.weights, inst.capacity)
+    # alpha and beta scale with the profits, so the whole QUBO scales by scale
+    problem = (build_inequality_qubo(scaled) if mode == "hycim"
+               else build_dqubo(scaled, DEFAULT_PENALTY * scale, DEFAULT_PENALTY * scale))
+    t_start = draw(st.one_of(st.floats(TINY, 1e300),
+                             st.floats(1e-2, 1e2).map(lambda t: t * scale)))
+    t_end = max(t_start * draw(st.floats(1e-3, 1.0)), TINY)
+    schedule = AnnealSchedule(draw(st.integers(1, 100)), t_start, t_end)
+    initial = draw(st.lists(st.integers(0, 1), min_size=problem.qubo.dim,
+                            max_size=problem.qubo.dim))
+    return problem, schedule, initial
+
+
+@settings(max_examples=50, deadline=None)
+@given(run=lane_boundary_runs(), backend=st.sampled_from(["exact-software", "behavioral-cim"]),
+       seed=st.integers(0, 2**32 - 1))
+# field + q_jj reaches 3e9 here: start energies summed in int32 wrapped to 647483645
+@example(run=(hycim_diag([1_500_000_000, 3]), AnnealSchedule(20, 5.0, 1.0), [1, 1]),
+         backend="exact-software", seed=1)
+# bound 2^31 - 2, the last int32 lane, and T g past bound + 1 = INT32_MAX: every move passes
+@example(run=(hycim_diag([INT32_MAX - 4, 3]), AnnealSchedule(20, 1e12, 1e12), [1, 1]),
+         backend="exact-software", seed=2)
+# bound 2^31 - 1, the first int64 lane: bound + 1 as an int32 threshold would wrap
+@example(run=(hycim_diag([INT32_MAX - 3, 3]), AnnealSchedule(20, 1e12, 1e12), [1, 1]),
+         backend="exact-software", seed=2)
+# T g underflows to 0: only dE <= 0 passes, and item 0 flips at dE = 0
+@example(run=(hycim_diag([0, 1_500_000_000]), AnnealSchedule(20, TINY, TINY), [0, 1]),
+         backend="exact-software", seed=3)
+# bound 2^53 and dE = bound: bound + 1 is no float64, the threshold must still pass it
+@example(run=(hycim_diag([2**53]), AnnealSchedule(5, 1e300, 1e300), [1]),
+         backend="exact-software", seed=4)
+def test_lane_boundary_run_equals_plain_loop_replay(run, backend, seed):
+    problem, schedule, initial = run
+    assert_replays(problem, backend, schedule, initial, seed)
 
 
 @common

@@ -241,6 +241,27 @@ def test_generator_rejects_bad_params():
             generate_instance(5, cap_ratio=cap_ratio)
 
 
+@pytest.mark.parametrize("kwargs", [dict(wmax=2.5), dict(wmax=math.nan), dict(pmax=math.inf),
+                                    dict(wmax=2**63), dict(n=3.5)],
+                         ids=["wmax=2.5", "wmax=nan", "pmax=inf", "wmax=2**63", "n=3.5"])
+def test_generator_counts_are_int64_integers(kwargs):
+    # the shared integer rule of every instance field; before it, 2.5 drew from [1, 2]
+    # and nan or inf escaped as a bare ValueError or OverflowError
+    with pytest.raises(ValidationError, match=next(iter(kwargs))):
+        generate_instance(**{"n": 5, **kwargs})
+
+
+def test_generator_takes_integral_floats_as_integers():
+    assert generate_instance(5, wmax=3.0, pmax=7.0) == generate_instance(5, wmax=3, pmax=7)
+
+
+def test_generator_capacity_sums_weights_without_wrapping():
+    # these weights sum past 2^63; an int64 sum wrapped negative and gave capacity 1
+    inst = generate_instance(5, wmax=2**63 - 1, seed=0)
+    assert sum(inst.weights.tolist()) > 2**63
+    assert inst.capacity == round(0.5 * sum(inst.weights.tolist()))
+
+
 # ---------------------------------------------------------------- oracle
 
 def test_oracle_on_tiny(tiny):
