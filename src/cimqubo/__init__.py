@@ -83,7 +83,6 @@ from .transform import (
     dump_qubo_json,
     load_qubo_json,
     quantization_info,
-    qubo_document_dict,
 )
 
 __all__ = [
@@ -106,6 +105,6 @@ __all__ = [
     "QuboMatrix", "QuantizationInfo", "InequalityQuboModel", "DQuboModel",
     "QuboDocument", "build_inequality_qubo", "build_dqubo",
     "quantization_info", "dqubo_quantization_info", "dump_qubo_json",
-    "load_qubo_json", "qubo_document_dict", "INEQUALITY_MODE", "DQUBO_MODE",
+    "load_qubo_json", "INEQUALITY_MODE", "DQUBO_MODE",
     "DEFAULT_PENALTY",
 ]

@@ -41,7 +41,7 @@ import numpy as np
 from .crossbar_sim import program_crossbar, vmv_energy
 from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check
-from .qkp import _FLOAT_EXACT, QkpInstance, _fields_equal, as_bits
+from .qkp import _FLOAT_EXACT, QkpInstance, _as_int, _fields_equal, as_bits
 from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
@@ -73,8 +73,7 @@ class AnnealSchedule:
     t_end: float
 
     def __post_init__(self):
-        if not self.iterations >= 1:
-            raise ValidationError("iterations", f"must be >= 1, got {self.iterations}")
+        object.__setattr__(self, "iterations", _as_int(self.iterations, "iterations", 1))
         if not 0 < self.t_end < math.inf:
             raise ValidationError("t_end", f"must be positive and finite, got {self.t_end}")
         if not self.t_end <= self.t_start < math.inf:
@@ -402,14 +401,12 @@ def batch_solve(
     results do not depend on execution order, on lockstep blocking or on the
     jobs worker count.  Records are ordered by (initial_index, run_index).
     """
-    if num_initials < 1:
-        raise ValidationError("num_initials", f"must be >= 1, got {num_initials}")
-    if runs_per_initial < 1:
-        raise ValidationError("runs_per_initial", f"must be >= 1, got {runs_per_initial}")
+    num_initials = _as_int(num_initials, "num_initials", 1)
+    runs_per_initial = _as_int(runs_per_initial, "runs_per_initial", 1)
     if master_seed < 0:
         raise ConfigurationError("master_seed must be nonnegative")
-    jobs = min(jobs, num_initials)
-    bounds = np.linspace(0, num_initials, max(jobs, 1) + 1).astype(int).tolist()
+    jobs = min(_as_int(jobs, "jobs", 1), num_initials)
+    bounds = np.linspace(0, num_initials, jobs + 1).astype(int).tolist()
     payloads = [
         (instance, mode, num_initials, runs_per_initial, schedule, backend,
          master_seed, alpha, beta, filter_config, crossbar_noise_sigma, lo, hi)

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .anneal import DEFAULT_ITERATIONS, MODE_DQUBO, MODE_HYCIM, batch_solve, default_schedule
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
-from .qkp import QkpInstance, brute_force_oracle
+from .qkp import QkpInstance, _as_int, brute_force_oracle
 from .transform import (
     DEFAULT_PENALTY,
     build_dqubo,
@@ -128,7 +128,10 @@ def success_rate_study(
 
     Each mode cools from its own coefficient scale over the given iteration
     count.  The optimum comes from exhaustive search, so the instance needs
-    n <= ORACLE_MAX_ITEMS (24)."""
+    n <= ORACLE_MAX_ITEMS (24); the counts are checked before that search."""
+    num_initials, runs_per_initial, iterations, jobs = (_as_int(value, name, 1) for name, value in (
+        ("num_initials", num_initials), ("runs_per_initial", runs_per_initial),
+        ("iterations", iterations), ("jobs", jobs)))
     optimum = brute_force_oracle(instance).best_value
     threshold = THRESHOLD_FRACTION * optimum
     h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
@@ -192,8 +195,7 @@ def filter_study(
 ) -> FilterStudy:
     """Per-configuration matchline detail over a balanced feasible/infeasible
     sample, plus the aggregate classification accuracy."""
-    if num_samples < 2:
-        raise ValidationError("num_samples", f"must be >= 2, got {num_samples}")
+    num_samples = _as_int(num_samples, "num_samples", 2)
     cfg = config or FilterConfig()
     model = build_filter(instance.weights, instance.capacity, cfg)
     nf = num_samples // 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SamplingError, ValidationError
-from .qkp import _as_int_array, _as_rng, as_bits
+from .qkp import _as_int, _as_int_array, _as_rng, as_bits
 
 # precharge voltage of both matchlines
 VDD = 2.0
@@ -37,10 +37,8 @@ class FilterConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if not self.rows >= 1:
-            raise ValidationError("rows", f"must be >= 1, got {self.rows}")
-        if not self.levels_per_cell >= 1:
-            raise ValidationError("levels_per_cell", f"must be >= 1, got {self.levels_per_cell}")
+        for name in ("rows", "levels_per_cell"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, 1))
         if not 0 <= self.noise_sigma < math.inf:
             raise ValidationError("noise_sigma", f"must be finite and >= 0, got {self.noise_sigma}")
 
@@ -89,8 +87,7 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
                 f"weights[{i}] = {wi} exceeds the {config.rows} x {config.levels_per_cell} "
                 f"column budget {budget}; increase rows"
             )
-    if capacity < 1:
-        raise ValidationError("capacity", f"must be >= 1, got {capacity}")
+    capacity = _as_int(capacity, "capacity", 1)
     columns = w.shape[0]
     if capacity > columns * budget:
         raise CapacityError(
@@ -98,12 +95,12 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
             f"({columns} columns x {budget})"
         )
     w.setflags(write=False)
-    unit_drop = VDD / (2.0 * max(int(capacity), int(w.max())))
-    replica_ml = VDD - unit_drop * float(int(capacity))
-    if VDD - unit_drop * float(int(capacity) + 1) == replica_ml:
+    unit_drop = VDD / (2.0 * max(capacity, int(w.max())))
+    replica_ml = VDD - unit_drop * float(capacity)
+    if VDD - unit_drop * float(capacity + 1) == replica_ml:
         raise ConfigurationError(
             f"unit_drop {unit_drop} is below the float64 resolution of VDD {VDD}: "
-            f"weights {capacity} and {int(capacity) + 1} give the same matchline"
+            f"weights {capacity} and {capacity + 1} give the same matchline"
         )
     return FilterModel(weights=w, unit_drop=unit_drop, config=config, replica_ml=replica_ml)
 
@@ -140,6 +137,8 @@ def sample_balanced_configs(
     SamplingError with the achieved counts when the attempt budget runs out.
     """
     w = _as_int_array(weights, "weights", copy=False)
+    num_feasible = _as_int(num_feasible, "num_feasible", 0)
+    num_infeasible = _as_int(num_infeasible, "num_infeasible", 0)
     n = w.shape[0]
     budget = max(20000, 400 * (num_feasible + num_infeasible))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))

@@ -72,6 +72,19 @@ def _as_int_array(values, fieldname: str, copy: bool = True) -> np.ndarray:
     return arr.astype(np.int64, copy=copy)
 
 
+def _as_int(value, name: str, minimum: int) -> int:
+    """The rule for every count, size and penalty setting: a 0-d integer of at
+    least minimum, as a Python int.  3.0 counts as 3; bools, arrays, 2.5, nan,
+    values past the int64 range and values that are not numbers raise."""
+    try:
+        number = _as_int_array(value, name, copy=False)
+    except ValidationError:
+        number = None
+    if isinstance(value, (bool, np.bool_)) or number is None or number.ndim or number < minimum:
+        raise ValidationError(name, f"must be an integer in [{minimum}, 2^63), got {value!r}")
+    return int(number)
+
+
 def _fields_equal(a, b):
     """Dataclass equality over every field declared with compare=True;
     ndarray fields compare by shape and content."""
@@ -108,8 +121,8 @@ class QkpInstance:
         if not (isinstance(name, str) and name == name.strip() and name.splitlines() == [name]):
             raise ValidationError("name", f"must be one nonempty line with no surrounding "
                                   f"whitespace, got {name!r}")
-        if type(self.n) is not int or self.n < 1:
-            raise ValidationError("n", f"must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _as_int(self.n, "n", 1))
+        object.__setattr__(self, "capacity", _as_int(self.capacity, "capacity", 1))
         profits = _as_int_array(self.profits, "profits")
         weights = _as_int_array(self.weights, "weights")
         if profits.shape != (self.n, self.n):
@@ -123,14 +136,10 @@ class QkpInstance:
         for i, wi in enumerate(weights.tolist()):
             if wi < 1:
                 raise ValidationError(f"weights[{i}]", f"must be >= 1, got {wi}")
-        if (isinstance(self.capacity, bool) or not isinstance(self.capacity, (int, np.integer))
-                or int(self.capacity) < 1):
-            raise ValidationError("capacity", f"must be a positive integer, got {self.capacity!r}")
         profits.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "profits", profits)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "capacity", int(self.capacity))
 
     @property
     def total_weight(self) -> int:
@@ -210,9 +219,10 @@ def _parse_json(text: str) -> QkpInstance:
     for key in ("name", "n", "profits_diag", "profits_upper", "capacity", "weights"):
         if key not in doc:
             raise ParseError(1, f"missing key {key!r}")
-    n = doc["n"]
-    if type(n) is not int or n < 1:
-        raise ParseError(1, f"n must be a positive integer, got {n!r}")
+    try:
+        n = _as_int(doc["n"], "n", 1)
+    except ValidationError as exc:
+        raise ParseError(1, str(exc)) from None
     diag = _as_int_array(doc["profits_diag"], "profits_diag")
     upper = _as_int_array(doc["profits_upper"], "profits_upper")
     if diag.shape != (n,):
@@ -297,15 +307,9 @@ def generate_instance(
     nonzero with probability density with a value uniform on [1, pmax]; the
     diagonal is always drawn.  capacity = max(1, round(cap_ratio * sum(w))).
     """
-    n, wmax, pmax = (int(_as_int_array(value, label))
-                     for label, value in (("n", n), ("wmax", wmax), ("pmax", pmax)))
-    if n < 2:
-        raise ValidationError("n", "generator needs n >= 2")
+    n, wmax, pmax = _as_int(n, "n", 2), _as_int(wmax, "wmax", 1), _as_int(pmax, "pmax", 1)
     if not 0.0 <= density <= 1.0:
         raise ValidationError("density", f"must be in [0, 1], got {density}")
-    for label, value in (("wmax", wmax), ("pmax", pmax)):
-        if value < 1:
-            raise ValidationError(label, "must be >= 1")
     if not 0.0 < cap_ratio < math.inf:
         raise ValidationError("cap_ratio", f"must be positive and finite, got {cap_ratio}")
     rng = np.random.default_rng(seed)

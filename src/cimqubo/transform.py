@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
-from .qkp import QkpInstance, _as_int_array, _fields_equal, as_bits
+from .qkp import QkpInstance, _as_int, _as_int_array, _fields_equal, as_bits
 
 INEQUALITY_MODE = "inequality"
 DQUBO_MODE = "dqubo"
@@ -113,10 +113,7 @@ def build_dqubo(
     couplings land in the upper triangle with their full coefficient.  The
     alpha constant from the one-hot square goes to the offset.
     """
-    if alpha < 1:
-        raise ValidationError("alpha", f"must be >= 1, got {alpha}")
-    if beta < 1:
-        raise ValidationError("beta", f"must be >= 1, got {beta}")
+    alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
     n, C = instance.n, instance.capacity
     dim = n + C
     # Term by term, |coefficients| of -profits, beta (w.x - sum k y_k)^2 and
@@ -148,14 +145,14 @@ def build_dqubo(
     q[idy, idy] = beta * k * k - alpha
     q[:n, n:] = -2 * beta * np.outer(w, k)
     q.setflags(write=False)  # QuboMatrix keeps it without a copy
-    return DQuboModel(qubo=QuboMatrix(q, offset=alpha), alpha=int(alpha), beta=int(beta),
-                      instance=instance)
+    return DQuboModel(qubo=QuboMatrix(q, offset=alpha), alpha=alpha, beta=beta, instance=instance)
 
 
 def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> QuantizationInfo:
     """quantization_info of build_dqubo(instance, alpha, beta).qubo, from the
     coefficient formulas alone.  Python ints keep it exact past the build's
     dimension and 64-bit limits."""
+    alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
     C = instance.capacity
     w = np.array(instance.weights.tolist(), dtype=object)
     p = np.array(instance.profits.tolist(), dtype=object)
@@ -187,14 +184,10 @@ def quantization_info(q) -> QuantizationInfo:
 
 @dataclass(frozen=True, eq=False)
 class QuboDocument:
-    """A QUBO loaded from its JSON serialization, with constraint side-cars."""
+    """A QUBO loaded from its JSON serialization, and the mode that built it."""
 
     qubo: QuboMatrix
     mode: str
-    weights: np.ndarray | None = None
-    capacity: int | None = None
-    alpha: int | None = None
-    beta: int | None = None
 
 
 def _matrix_payload(q: QuboMatrix) -> dict:
@@ -207,7 +200,9 @@ def _matrix_payload(q: QuboMatrix) -> dict:
     return {"encoding": "dense", "entries": q.q.tolist()}
 
 
-def qubo_document_dict(model: InequalityQuboModel | DQuboModel) -> dict:
+def dump_qubo_json(model: InequalityQuboModel | DQuboModel) -> str:
+    """The matrix, its offset and mode, and as side-cars the constraint
+    weights and capacity and, for the penalty form, alpha and beta."""
     if isinstance(model, InequalityQuboModel):
         doc = {"mode": INEQUALITY_MODE}
     elif isinstance(model, DQuboModel):
@@ -219,11 +214,7 @@ def qubo_document_dict(model: InequalityQuboModel | DQuboModel) -> dict:
     doc["weights"] = model.instance.weights.tolist()
     doc["capacity"] = model.instance.capacity
     doc.update(_matrix_payload(model.qubo))
-    return doc
-
-
-def dump_qubo_json(model: InequalityQuboModel | DQuboModel) -> str:
-    return json.dumps(qubo_document_dict(model), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def load_qubo_json(text: str) -> QuboDocument:
@@ -238,9 +229,11 @@ def load_qubo_json(text: str) -> QuboDocument:
             raise ParseError(1, f"missing key {key!r}")
     if doc["mode"] not in (INEQUALITY_MODE, DQUBO_MODE):
         raise ParseError(1, f"unknown mode {doc['mode']!r}")
-    dim, entries = doc["dim"], doc["entries"]
-    if type(dim) is not int or dim < 0:
-        raise ParseError(1, f"dim must be a nonnegative integer, got {dim!r}")
+    try:
+        dim = _as_int(doc["dim"], "dim", 0)
+    except ValidationError as exc:
+        raise ParseError(1, str(exc)) from None
+    entries = doc["entries"]
     if doc["encoding"] == "dense":
         if not (isinstance(entries, list) and len(entries) == dim
                 and all(isinstance(row, list) and len(row) == dim for row in entries)):
@@ -257,12 +250,4 @@ def load_qubo_json(text: str) -> QuboDocument:
             q[i, j] = v
     else:
         raise ParseError(1, f"unknown encoding {doc['encoding']!r}")
-    weights = doc.get("weights")
-    return QuboDocument(
-        qubo=QuboMatrix(q, offset=doc["offset"]),
-        mode=doc["mode"],
-        weights=None if weights is None else _as_int_array(weights, "weights"),
-        capacity=doc.get("capacity"),
-        alpha=doc.get("alpha"),
-        beta=doc.get("beta"),
-    )
+    return QuboDocument(qubo=QuboMatrix(q, offset=doc["offset"]), mode=doc["mode"])

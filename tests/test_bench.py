@@ -133,6 +133,15 @@ def test_success_study_needs_optimum_for_large_instances():
         success_rate_study(generate_instance(25, seed=1), 1, 1, iterations=50)
 
 
+def test_success_study_checks_counts_before_the_oracle():
+    # the oracle refuses 25 items; a bad count used to surface only after its search
+    big = generate_instance(25, seed=1)
+    for name in ("num_initials", "runs_per_initial", "iterations", "jobs"):
+        counts = {"num_initials": 1, "runs_per_initial": 1, "iterations": 50, "jobs": 1, name: 0}
+        with pytest.raises(ValidationError, match=name):
+            success_rate_study(big, **counts)
+
+
 # ------------------------------------------------------- filter studies
 
 def test_filter_study_noiseless_is_perfect(tiny):

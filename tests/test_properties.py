@@ -1,9 +1,12 @@
 """Property tests of the lockstep annealer, the penalty coefficient
 formulas and their soundness, the packed crossbar read, the filter's verdicts,
 matchline replay and array budgets, the QUBO file round trip, the instance
-file round trip and the exhaustive oracle on random instances and matrices."""
+file round trip, the exhaustive oracle on random instances and matrices, and
+the one integer rule of every count, size and penalty setting."""
 
 import itertools
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,9 +20,12 @@ from cimqubo import (
     TEXT_FORMAT,
     AnnealSchedule,
     CapacityError,
+    CimQuboError,
     ConfigurationError,
     FilterConfig,
+    QkpInstance,
     QuboMatrix,
+    ValidationError,
     batch_solve,
     brute_force_oracle,
     build_dqubo,
@@ -29,11 +35,15 @@ from cimqubo import (
     dump_instance,
     dump_qubo_json,
     filter_check,
+    filter_study,
+    generate_instance,
     load_qubo_json,
     parse_instance,
     program_crossbar,
     quantization_info,
     sa_run,
+    sample_balanced_configs,
+    success_rate_study,
     vmv_energy,
 )
 from cimqubo.filter_sim import VDD
@@ -44,6 +54,7 @@ from conftest import (
     ref_enumerate,
     ref_filter_check,
     ref_initials,
+    ref_int_setting,
     ref_plane_counts,
     ref_qubo_energy,
     ref_run_seed,
@@ -334,14 +345,15 @@ def test_filter_check_equals_plain_matchline_replay(setup, sigma, seed, data):
        beta=st.integers(1, 50))
 def test_qubo_json_round_trip_keeps_the_constraint(inst, mode, alpha, beta):
     model = build_inequality_qubo(inst) if mode == "hycim" else build_dqubo(inst, alpha, beta)
-    doc = load_qubo_json(dump_qubo_json(model))
-    assert doc.qubo == model.qubo
-    assert doc.weights.tolist() == inst.weights.tolist()
-    assert doc.capacity == inst.capacity
+    text = dump_qubo_json(model)
+    assert load_qubo_json(text).qubo == model.qubo
+    sidecars = json.loads(text)
+    assert sidecars["weights"] == inst.weights.tolist()
+    assert sidecars["capacity"] == inst.capacity
     if mode == "hycim":
-        assert (doc.alpha, doc.beta) == (None, None)
+        assert ("alpha" in sidecars, "beta" in sidecars) == (False, False)
     else:
-        assert (doc.alpha, doc.beta) == (alpha, beta)
+        assert (sidecars["alpha"], sidecars["beta"]) == (alpha, beta)
 
 
 @st.composite
@@ -387,3 +399,97 @@ def wide_instances(draw):
 @given(inst=wide_instances(), fmt=st.sampled_from([TEXT_FORMAT, JSON_FORMAT]))
 def test_instance_file_round_trip(inst, fmt):
     assert parse_instance(dump_instance(inst, fmt), fmt) == inst
+
+
+# ------------------------------------------------ one integer rule for settings
+
+THREE = make_instance([[5, 2, 0], [2, 3, 1], [0, 1, 4]], [4, 7, 2], 9, name="three")
+FIVE_STEPS = AnnealSchedule(iterations=5, t_start=4.0, t_end=1.0)
+
+
+def _study(num_initials=1, runs_per_initial=1, iterations=5, jobs=1):
+    return success_rate_study(THREE, num_initials, runs_per_initial, iterations=iterations, jobs=jobs)
+
+
+# (the call site, the ValidationError field, the least valid value, the call)
+# for every count, size and penalty setting; each call returns something that
+# compares by value, or the repr of a model that does not
+INT_SETTINGS = [
+    ("AnnealSchedule", "iterations", 1, lambda v: AnnealSchedule(v, 2.0, 1.0)),
+    ("batch_solve", "num_initials", 1, lambda v: batch_solve(THREE, "hycim", v, 1, FIVE_STEPS)),
+    ("batch_solve", "runs_per_initial", 1, lambda v: batch_solve(THREE, "hycim", 1, v, FIVE_STEPS)),
+    ("batch_solve", "jobs", 1, lambda v: batch_solve(THREE, "hycim", 1, 1, FIVE_STEPS, jobs=v)),
+    ("build_dqubo", "alpha", 1, lambda v: repr(build_dqubo(THREE, alpha=v))),
+    ("build_dqubo", "beta", 1, lambda v: repr(build_dqubo(THREE, beta=v))),
+    ("dqubo_quantization_info", "alpha", 1, lambda v: dqubo_quantization_info(THREE, v, 2)),
+    ("dqubo_quantization_info", "beta", 1, lambda v: dqubo_quantization_info(THREE, 2, v)),
+    ("FilterConfig", "rows", 1, lambda v: FilterConfig(rows=v)),
+    ("FilterConfig", "levels_per_cell", 1, lambda v: FilterConfig(levels_per_cell=v)),
+    ("build_filter", "capacity", 1, lambda v: repr(build_filter([4, 7, 2], v))),
+    ("filter_study", "num_samples", 2, lambda v: filter_study(THREE, v)),
+    ("sample_balanced_configs", "num_feasible", 0,
+     lambda v: [a.tolist() for a in sample_balanced_configs([4, 7, 2], 9, v, 1)]),
+    ("sample_balanced_configs", "num_infeasible", 0,
+     lambda v: [a.tolist() for a in sample_balanced_configs([4, 7, 2], 9, 1, v)]),
+    ("QkpInstance", "n", 1, lambda v: QkpInstance("q", v, [[1]], [1], 1)),
+    ("QkpInstance", "capacity", 1, lambda v: QkpInstance("q", 1, [[1]], [1], v)),
+    ("generate_instance", "n", 2, lambda v: generate_instance(v)),
+    ("generate_instance", "wmax", 1, lambda v: generate_instance(4, wmax=v)),
+    ("generate_instance", "pmax", 1, lambda v: generate_instance(4, pmax=v)),
+    ("success_rate_study", "num_initials", 1, lambda v: _study(num_initials=v)),
+    ("success_rate_study", "runs_per_initial", 1, lambda v: _study(runs_per_initial=v)),
+    ("success_rate_study", "iterations", 1, lambda v: _study(iterations=v)),
+    ("success_rate_study", "jobs", 1, lambda v: _study(jobs=v)),
+]
+
+
+def _outcome(call, value):
+    """What a call gives: its result, or the type and text of what it raised."""
+    try:
+        result = call(value)
+    except CimQuboError as exc:
+        return type(exc), str(exc)
+    return repr(result), result
+
+
+# small integers in every numeric form, so a valid value never asks for much work
+NEAR = st.integers(-3, 6)
+SETTING_VALUES = st.one_of(
+    NEAR, NEAR.map(float), NEAR.map(np.int64), NEAR.map(np.float64), st.integers(0, 6).map(np.uint8),
+    st.integers(min_value=2**63), st.integers(max_value=-1),
+    st.floats().filter(lambda f: not f.is_integer()),
+    st.sampled_from([1e19, -1e19, 2.0**63, np.bool_(True), "3", b"3", 3j, (), [], (3,), np.array([3])]),
+)
+
+
+@pytest.mark.parametrize("site, name, minimum, call", INT_SETTINGS,
+                         ids=[f"{site}.{name}" for site, name, _, _ in INT_SETTINGS])
+@settings(max_examples=15, deadline=None)
+@given(value=SETTING_VALUES)
+@example(value=2.5)
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=True)
+@example(value=2**63)
+@example(value="")
+@example(value=None)
+@example(value=[3])
+# the holes before the rule: FilterConfig(rows=2.5) and build_filter(w, 2.5) ran silently,
+# filter_study(inst, 3.0) raised a bare TypeError, batch_solve(..., jobs=0) ran serially and
+# QkpInstance(n=np.int64(2)) was refused
+@example(value=3.0)
+@example(value=0)
+@example(value=np.int64(2))
+def test_integer_settings_follow_one_rule(site, name, minimum, call, value):
+    with pytest.raises(ValidationError) as below:
+        call(minimum - 1)
+    assert below.value.field == name
+    number = ref_int_setting(value, minimum)
+    if number is None:
+        with pytest.raises(ValidationError) as refused:
+            call(value)
+        assert refused.value.field == name, site
+    else:
+        want = _outcome(call, number)
+        assert _outcome(call, value) == want
+        assert _outcome(call, float(number)) == want

@@ -4,6 +4,7 @@ every option and import has a use."""
 import ast
 import copy
 import dataclasses
+import importlib.util
 import inspect
 import pickle
 from pathlib import Path
@@ -68,6 +69,19 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
                 if not p.name.startswith("test_")]
     used = set().union(*map(_loaded_names, sources))
     assert sorted(set(cimqubo.__all__) - used) == []
+
+
+def test_every_traced_binding_resolves_to_a_callable():
+    # the benchmark's tracer wraps these names where callers look them up; a
+    # refactor that unbinds one, say quantization_info in cli, breaks traced runs
+    path = Path(cimqubo.__file__).parents[2] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    points = spans.patch_points()
+    assert points
+    for module, attr, _, _ in points:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
 def test_load_qubo_json_return_type_is_exported():
