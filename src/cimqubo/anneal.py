@@ -41,7 +41,7 @@ import numpy as np
 from .crossbar_sim import program_crossbar, vmv_energy
 from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, build_filter, filter_check
-from .qkp import _FLOAT_EXACT, QkpInstance, _as_int, _fields_equal, as_bits
+from .qkp import _FLOAT_EXACT, _SEED_LIMIT, QkpInstance, _as_int, _fields_equal, as_bits
 from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
@@ -338,6 +338,7 @@ def sa_run(
     """One annealing run from the given initial configuration."""
     if initial is None:
         raise ConfigurationError("an initial configuration is required")
+    seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
     if schedule is None:
         schedule = default_schedule(problem)
     ctx = _Context(problem, backend, schedule, filter_config, crossbar_noise_sigma)
@@ -350,6 +351,7 @@ def _derived_seed(master_seed: int, initial_index: int, run_index: int) -> int:
 
 
 def _draw_initials(master_seed: int, num_initials: int, dim: int) -> np.ndarray:
+    master_seed = _as_int(master_seed, "master_seed", 0, _SEED_LIMIT)  # the CLI trajectory draws here
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
     return rng.integers(0, 2, size=(num_initials, dim), dtype=np.int8)
 
@@ -403,8 +405,7 @@ def batch_solve(
     """
     num_initials = _as_int(num_initials, "num_initials", 1)
     runs_per_initial = _as_int(runs_per_initial, "runs_per_initial", 1)
-    if master_seed < 0:
-        raise ConfigurationError("master_seed must be nonnegative")
+    master_seed = _as_int(master_seed, "master_seed", 0, _SEED_LIMIT)
     jobs = min(_as_int(jobs, "jobs", 1), num_initials)
     bounds = np.linspace(0, num_initials, jobs + 1).astype(int).tolist()
     payloads = [

@@ -21,7 +21,7 @@ import numpy as np
 from .anneal import DEFAULT_ITERATIONS, MODE_DQUBO, MODE_HYCIM, batch_solve, default_schedule
 from .errors import CapacityError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
-from .qkp import QkpInstance, _as_int, brute_force_oracle
+from .qkp import _SEED_LIMIT, QkpInstance, _as_int, brute_force_oracle
 from .transform import (
     DEFAULT_PENALTY,
     build_dqubo,
@@ -66,7 +66,7 @@ def overhead_report(
     try:
         dq = build_dqubo(instance, alpha, beta)
         dbits = quantization_info(dq.qubo.q).bits
-    except (OverflowError, CapacityError):
+    except CapacityError:
         dbits = dqubo_quantization_info(instance, alpha, beta).bits
     dcells = dqubo_dim * dqubo_dim * dbits
     saving = 1.0 - hycim_cells / dcells
@@ -128,10 +128,10 @@ def success_rate_study(
 
     Each mode cools from its own coefficient scale over the given iteration
     count.  The optimum comes from exhaustive search, so the instance needs
-    n <= ORACLE_MAX_ITEMS (24); the counts are checked before that search."""
-    num_initials, runs_per_initial, iterations, jobs = (_as_int(value, name, 1) for name, value in (
-        ("num_initials", num_initials), ("runs_per_initial", runs_per_initial),
-        ("iterations", iterations), ("jobs", jobs)))
+    n <= ORACLE_MAX_ITEMS (24); counts and seed are checked before that search."""
+    num_initials, runs_per_initial, iterations, jobs, master_seed = (_as_int(*rule) for rule in (
+        (num_initials, "num_initials", 1), (runs_per_initial, "runs_per_initial", 1),
+        (iterations, "iterations", 1), (jobs, "jobs", 1), (master_seed, "master_seed", 0, _SEED_LIMIT)))
     optimum = brute_force_oracle(instance).best_value
     threshold = THRESHOLD_FRACTION * optimum
     h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
@@ -196,6 +196,7 @@ def filter_study(
     """Per-configuration matchline detail over a balanced feasible/infeasible
     sample, plus the aggregate classification accuracy."""
     num_samples = _as_int(num_samples, "num_samples", 2)
+    seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
     cfg = config or FilterConfig()
     model = build_filter(instance.weights, instance.capacity, cfg)
     nf = num_samples // 2
@@ -239,6 +240,7 @@ def filter_suite(
 ) -> FilterStudy:
     """Noiseless filter_study over many instances with one aggregate accuracy;
     each instance samples its own balanced configuration set."""
+    seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
     cases = []
     correct = 0
     for idx, inst in enumerate(instances):
@@ -289,15 +291,9 @@ def write_filter_csv(study: FilterStudy, path, meta: dict | None = None) -> None
     _write_csv(path, FilterCase, study.cases, merged)
 
 
-def _as_jsonable(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def write_report_json(report, path) -> None:
     """Serialize one report dataclass, or a list of them; nested case lists included."""
     payload = [asdict(r) for r in report] if isinstance(report, list) else asdict(report)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_as_jsonable)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

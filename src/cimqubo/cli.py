@@ -20,6 +20,7 @@ from .anneal import (
     MODE_DQUBO,
     MODE_HYCIM,
     AnnealSchedule,
+    _build_problem,
     _derived_seed,
     _draw_initials,
     batch_solve,
@@ -130,12 +131,10 @@ def _schedule_from_args(args, problem):
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    if args.mode == MODE_HYCIM:
-        problem = build_inequality_qubo(inst)
-    else:
-        problem = build_dqubo(inst, args.alpha, args.beta)
+    problem = _build_problem(inst, args.mode, args.alpha, args.beta)
     schedule = _schedule_from_args(args, problem)
-    filter_cfg = FilterConfig(noise_sigma=args.noise_sigma) if args.noise_sigma else None
+    hycim_noise = args.noise_sigma if args.mode == MODE_HYCIM else 0.0  # dqubo runs have no filter
+    filter_cfg = FilterConfig(noise_sigma=hycim_noise) if hycim_noise else None
     if args.trajectory:
         if args.initials != 1 or args.runs != 1:
             raise ConfigurationError("--trajectory needs --initials 1 --runs 1")
@@ -320,7 +319,7 @@ def main(argv=None) -> int:
     _echo_settings(args)
     try:
         return args.func(args)
-    except (CimQuboError, OverflowError, OSError) as exc:
+    except (CimQuboError, OSError) as exc:
         print(f"cimqubo: error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SamplingError, ValidationError
-from .qkp import _as_int, _as_int_array, _as_rng, as_bits
+from .qkp import _SEED_LIMIT, _as_int, _as_int_array, _as_rng, as_bits
 
 # precharge voltage of both matchlines
 VDD = 2.0
@@ -41,6 +41,7 @@ class FilterConfig:
             object.__setattr__(self, name, _as_int(getattr(self, name), name, 1))
         if not 0 <= self.noise_sigma < math.inf:
             raise ValidationError("noise_sigma", f"must be finite and >= 0, got {self.noise_sigma}")
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
     @property
     def column_budget(self) -> int:
@@ -139,6 +140,7 @@ def sample_balanced_configs(
     w = _as_int_array(weights, "weights", copy=False)
     num_feasible = _as_int(num_feasible, "num_feasible", 0)
     num_infeasible = _as_int(num_infeasible, "num_infeasible", 0)
+    seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
     n = w.shape[0]
     budget = max(20000, 400 * (num_feasible + num_infeasible))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))

@@ -26,6 +26,7 @@ ORACLE_MAX_ITEMS = 24
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here
 _INT8 = np.dtype(np.int8)
 _ORACLE_BLOCK = 1 << 18  # oracle scores per block: 2 MiB per float64 temporary
+_SEED_LIMIT = 1 << 64  # seeds are nonnegative and below this, as run seeds are uint64
 
 
 def as_bits(x, n: int | None = None) -> np.ndarray:
@@ -48,9 +49,10 @@ def as_bits(x, n: int | None = None) -> np.ndarray:
 
 
 def _as_rng(rng) -> np.random.Generator:
+    """A Generator as given, a fresh-entropy one for None, else one seeded by rng."""
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(rng)
+    return np.random.default_rng(None if rng is None else _as_int(rng, "rng", 0, _SEED_LIMIT))
 
 
 def _as_int_array(values, fieldname: str, copy: bool = True) -> np.ndarray:
@@ -72,17 +74,16 @@ def _as_int_array(values, fieldname: str, copy: bool = True) -> np.ndarray:
     return arr.astype(np.int64, copy=copy)
 
 
-def _as_int(value, name: str, minimum: int) -> int:
-    """The rule for every count, size and penalty setting: a 0-d integer of at
-    least minimum, as a Python int.  3.0 counts as 3; bools, arrays, 2.5, nan,
-    values past the int64 range and values that are not numbers raise."""
-    try:
-        number = _as_int_array(value, name, copy=False)
-    except ValidationError:
-        number = None
-    if isinstance(value, (bool, np.bool_)) or number is None or number.ndim or number < minimum:
-        raise ValidationError(name, f"must be an integer in [{minimum}, 2^63), got {value!r}")
-    return int(number)
+def _as_int(value, name: str, minimum: int, limit: int = 1 << 63) -> int:
+    """The rule for every integer setting, seeds included: a scalar integer in
+    [minimum, limit), as a Python int.  3.0 counts as 3; bools, arrays, 2.5,
+    nan, values out of range and values that are not numbers raise."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        if minimum <= int(value) < limit:
+            return int(value)
+    raise ValidationError(name, f"must be an integer in [{minimum}, 2^{limit.bit_length() - 1}), "
+                          f"got {value!r}")
 
 
 def _fields_equal(a, b):
@@ -308,6 +309,7 @@ def generate_instance(
     diagonal is always drawn.  capacity = max(1, round(cap_ratio * sum(w))).
     """
     n, wmax, pmax = _as_int(n, "n", 2), _as_int(wmax, "wmax", 1), _as_int(pmax, "pmax", 1)
+    seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
     if not 0.0 <= density <= 1.0:
         raise ValidationError("density", f"must be in [0, 1], got {density}")
     if not 0.0 < cap_ratio < math.inf:
@@ -354,7 +356,7 @@ def brute_force_oracle(instance: QkpInstance) -> OracleResult:
     for each b, the a with w_a <= C - w_b (Horowitz and Sahni, J. ACM 21(2),
     1974).  Only instances with n <= ORACLE_MAX_ITEMS are accepted.  Scores
     are float64 sums, exact while the profit and weight totals stay within
-    2^53; larger totals raise OverflowError.
+    2^53; larger totals raise CapacityError.
     """
     n = instance.n
     if n > ORACLE_MAX_ITEMS:
@@ -363,7 +365,7 @@ def brute_force_oracle(instance: QkpInstance) -> OracleResult:
         )
     totals = sum(instance.profits.ravel().tolist()), instance.total_weight
     if max(totals) > _FLOAT_EXACT:
-        raise OverflowError(f"profit and weight totals {totals} exceed 2^53, the float64 exact range")
+        raise CapacityError(f"profit and weight totals {totals} exceed 2^53, the float64 exact range")
     h = n // 2
     lo, hi = _subsets(h), _subsets(n - h)
     p = instance.profits.astype(np.float64)

@@ -123,7 +123,7 @@ def build_dqubo(
     bound = (_exact_sum(instance.profits.view(np.uint64))
              + beta * (instance.total_weight + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
     if bound > _INT64_MAX:
-        raise OverflowError(
+        raise CapacityError(
             f"penalty energies up to {bound} overflow 64-bit arithmetic (capacity {C})"
         )
     if dim > _DQUBO_DIM_LIMIT:

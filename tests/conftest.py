@@ -186,10 +186,10 @@ def ref_run_seed(master, i, r):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def ref_int_setting(value, minimum):
-    """The int a count, size or penalty setting stands for, or None when it
-    must be refused: a Python or numpy integer, or a float with no fractional
-    part, in the int64 range and at least minimum; never a bool."""
+def ref_int_setting(value, minimum, limit=2**63):
+    """The int an integer setting or seed stands for, or None when it must be
+    refused: a Python or numpy integer, or a float with no fractional part, in
+    [minimum, limit); never a bool."""
     if isinstance(value, (bool, np.bool_)):
         return None
     if isinstance(value, (float, np.floating)):
@@ -198,7 +198,7 @@ def ref_int_setting(value, minimum):
     elif not isinstance(value, (int, np.integer)):
         return None
     number = int(value)
-    return number if minimum <= number < 2**63 else None
+    return number if minimum <= number < limit else None
 
 
 def ref_initials(master, num_initials, dim):

@@ -408,7 +408,7 @@ def test_batch_validation(tiny):
         batch_solve(tiny, "hycim", 0, 1)
     with pytest.raises(ValidationError):
         batch_solve(tiny, "hycim", 1, 0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="master_seed"):
         batch_solve(tiny, "hycim", 1, 1, master_seed=-1)
     with pytest.raises(ConfigurationError):
         batch_solve(tiny, "qaoa", 1, 1)

@@ -240,6 +240,29 @@ def test_report_json(tmp_path, tiny):
     assert doc["cases"][0]["instance"] == "tiny3"
 
 
+def test_reports_from_numpy_settings_write_plain_json(tmp_path, tiny):
+    """Reports hold Python numbers whatever numeric types built them, so numpy
+    seeds, counts and sigma write the same JSON as Python ones."""
+
+    def reports(num, sigma):
+        inst = make_instance(tiny.profits, tiny.weights, num(9))
+        return {
+            "filter": filter_study(inst, num(4), FilterConfig(noise_sigma=sigma), seed=num(3)),
+            "success": success_rate_study(inst, num(2), num(2), master_seed=num(3), iterations=num(50)),
+            "overhead": [overhead_report(inst, num(2), num(2))],
+        }
+
+    sigma = np.float32(0.05)
+    for (name, report), python_report in zip(reports(np.int64, sigma).items(),
+                                              reports(int, float(sigma)).values()):
+        write_report_json(report, tmp_path / f"{name}.json")
+        write_report_json(python_report, tmp_path / f"{name}-python.json")
+        assert (tmp_path / f"{name}.json").read_text() == (tmp_path / f"{name}-python.json").read_text()
+    doc = json.loads((tmp_path / "filter.json").read_text())
+    assert (doc["seed"], doc["noise_sigma"]) == (3, float(sigma))
+    assert json.loads((tmp_path / "success.json").read_text())["master_seed"] == 3
+
+
 def _report_csvs(tmp_path, tiny):
     """The three report CSVs over the tiny and 100-item instances."""
     paths = {name: tmp_path / f"{name}.csv" for name in ("overhead", "success", "filter")}

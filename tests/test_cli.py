@@ -143,6 +143,31 @@ def test_solve_noise_needs_behavioral_backend(tiny_path, capsys):
     assert "needs the behavioral-cim backend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, filter_config", [
+    ("hycim", FilterConfig(noise_sigma=0.05)),
+    ("dqubo", None),  # dqubo proposals are never gated, so no filter noise to pass on
+])
+def test_solve_builds_a_filter_config_only_in_hycim_mode(tiny_path, monkeypatch, mode, filter_config):
+    calls = []
+
+    def recording_batch_solve(*args, **kwargs):
+        calls.append(kwargs)
+        return batch_solve(*args, **kwargs)
+
+    monkeypatch.setattr("cimqubo.cli.batch_solve", recording_batch_solve)
+    assert main(["solve", tiny_path, "--mode", mode, "--backend", "behavioral-cim",
+                 "--noise-sigma", "0.05", "--initials", "1", "--runs", "1", "--iters", "20"]) == 0
+    assert [(c["filter_config"], c["crossbar_noise_sigma"]) for c in calls] == [(filter_config, 0.05)]
+
+
+@pytest.mark.parametrize("trajectory", [False, True])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_solve_refuses_a_seed_outside_the_seed_range(tiny_path, tmp_path, capsys, trajectory, seed):
+    extra = ["--trajectory", str(tmp_path / "t.csv")] if trajectory else []
+    assert main(["solve", tiny_path, "--initials", "1", "--runs", "1", "--seed", seed] + extra) == 1
+    assert "master_seed: must be an integer in [0, 2^64)" in capsys.readouterr().err
+
+
 def test_solve_trajectory(tiny_path, tmp_path, capsys):
     traj = tmp_path / "t.csv"
     code = main(["solve", tiny_path, "--initials", "1", "--runs", "1",

@@ -2,7 +2,7 @@
 formulas and their soundness, the packed crossbar read, the filter's verdicts,
 matchline replay and array budgets, the QUBO file round trip, the instance
 file round trip, the exhaustive oracle on random instances and matrices, and
-the one integer rule of every count, size and penalty setting."""
+the one integer rule of every count, size, penalty setting and seed."""
 
 import itertools
 import json
@@ -36,6 +36,7 @@ from cimqubo import (
     dump_qubo_json,
     filter_check,
     filter_study,
+    filter_suite,
     generate_instance,
     load_qubo_json,
     parse_instance,
@@ -401,14 +402,15 @@ def test_instance_file_round_trip(inst, fmt):
     assert parse_instance(dump_instance(inst, fmt), fmt) == inst
 
 
-# ------------------------------------------------ one integer rule for settings
+# --------------------------------------- one integer rule for settings and seeds
 
 THREE = make_instance([[5, 2, 0], [2, 3, 1], [0, 1, 4]], [4, 7, 2], 9, name="three")
 FIVE_STEPS = AnnealSchedule(iterations=5, t_start=4.0, t_end=1.0)
 
 
-def _study(num_initials=1, runs_per_initial=1, iterations=5, jobs=1):
-    return success_rate_study(THREE, num_initials, runs_per_initial, iterations=iterations, jobs=jobs)
+def _study(num_initials=1, runs_per_initial=1, iterations=5, jobs=1, master_seed=0):
+    return success_rate_study(THREE, num_initials, runs_per_initial, master_seed,
+                              iterations=iterations, jobs=jobs)
 
 
 # (the call site, the ValidationError field, the least valid value, the call)
@@ -441,6 +443,24 @@ INT_SETTINGS = [
     ("success_rate_study", "iterations", 1, lambda v: _study(iterations=v)),
     ("success_rate_study", "jobs", 1, lambda v: _study(jobs=v)),
 ]
+NOISY_FILTER = build_filter([4, 7, 2], 9, FilterConfig(noise_sigma=0.1))
+# (the call site, the ValidationError field, the call) for every seed; seeds
+# are integers in [0, 2^64), as the run seeds derived from a master seed are uint64
+SEEDS = [
+    ("batch_solve", "master_seed",
+     lambda v: batch_solve(THREE, "hycim", 1, 2, FIVE_STEPS, master_seed=v)),
+    ("success_rate_study", "master_seed", lambda v: _study(master_seed=v)),
+    ("sa_run", "seed", lambda v: sa_run(build_inequality_qubo(THREE), schedule=FIVE_STEPS,
+                                        initial=[0, 1, 0], seed=v)),
+    ("generate_instance", "seed", lambda v: generate_instance(4, seed=v)),
+    ("filter_study", "seed", lambda v: filter_study(THREE, 4, seed=v)),
+    ("filter_suite", "seed", lambda v: filter_suite([THREE, THREE], 4, seed=v)),
+    ("sample_balanced_configs", "seed",
+     lambda v: [a.tolist() for a in sample_balanced_configs([4, 7, 2], 9, 1, 1, seed=v)]),
+    ("filter_check", "rng", lambda v: filter_check(NOISY_FILTER, [1, 1, 0], v)),
+]
+RULES = ([(site, name, minimum, 2**63, call) for site, name, minimum, call in INT_SETTINGS]
+         + [(site, name, 0, 2**64, call) for site, name, call in SEEDS])
 
 
 def _outcome(call, value):
@@ -456,14 +476,15 @@ def _outcome(call, value):
 NEAR = st.integers(-3, 6)
 SETTING_VALUES = st.one_of(
     NEAR, NEAR.map(float), NEAR.map(np.int64), NEAR.map(np.float64), st.integers(0, 6).map(np.uint8),
-    st.integers(min_value=2**63), st.integers(max_value=-1),
+    st.integers(min_value=2**63), st.integers(2**63, 2**64 - 1).map(np.uint64),
+    st.integers(max_value=-1),
     st.floats().filter(lambda f: not f.is_integer()),
     st.sampled_from([1e19, -1e19, 2.0**63, np.bool_(True), "3", b"3", 3j, (), [], (3,), np.array([3])]),
 )
 
 
-@pytest.mark.parametrize("site, name, minimum, call", INT_SETTINGS,
-                         ids=[f"{site}.{name}" for site, name, _, _ in INT_SETTINGS])
+@pytest.mark.parametrize("site, name, minimum, limit, call", RULES,
+                         ids=[f"{site}.{name}" for site, name, *_ in RULES])
 @settings(max_examples=15, deadline=None)
 @given(value=SETTING_VALUES)
 @example(value=2.5)
@@ -480,16 +501,35 @@ SETTING_VALUES = st.one_of(
 @example(value=3.0)
 @example(value=0)
 @example(value=np.int64(2))
-def test_integer_settings_follow_one_rule(site, name, minimum, call, value):
-    with pytest.raises(ValidationError) as below:
-        call(minimum - 1)
-    assert below.value.field == name
-    number = ref_int_setting(value, minimum)
-    if number is None:
+# seeds: a master seed of 2.5 reached numpy as a bare TypeError, -1 as a bare
+# ValueError and True ran as 1; uint64 values past the int64 range are valid seeds
+@example(value=-1)
+@example(value=2**64)
+@example(value="1")
+@example(value=np.uint64(2**63 + 1))
+@example(value=2**64 - 1)
+def test_integer_settings_follow_one_rule(site, name, minimum, limit, call, value):
+    for outside in (minimum - 1, limit):
+        with pytest.raises(ValidationError) as refused:
+            call(outside)
+        assert refused.value.field == name
+    number = ref_int_setting(value, minimum, limit)
+    if value is None and name == "rng":
+        call(value)  # None is the fresh-entropy default of a single read
+    elif number is None:
         with pytest.raises(ValidationError) as refused:
             call(value)
         assert refused.value.field == name, site
     else:
         want = _outcome(call, number)
         assert _outcome(call, value) == want
-        assert _outcome(call, float(number)) == want
+        if float(number) == number:  # seeds past 2^53 have no float twin
+            assert _outcome(call, float(number)) == want
+
+
+@pytest.mark.parametrize("seed", [3.0, np.int64(3), np.uint64(3)], ids=["float", "int64", "uint64"])
+def test_master_seed_forms_give_equal_records(seed):
+    assert batch_solve(THREE, "hycim", 2, 2, FIVE_STEPS, master_seed=seed) == batch_solve(
+        THREE, "hycim", 2, 2, FIVE_STEPS, master_seed=3)
+    report = _study(master_seed=seed)
+    assert report == _study(master_seed=3) and type(report.master_seed) is int

@@ -162,7 +162,7 @@ def test_dqubo_rejects_bad_penalty_weights(tiny):
 
 def test_dqubo_overflow_guard():
     inst = make_instance([[1, 0], [0, 1]], [1, 1], 2_000_000_000)
-    with pytest.raises(OverflowError, match="overflow"):
+    with pytest.raises(CapacityError, match="overflow"):
         build_dqubo(inst)
 
 
@@ -170,7 +170,7 @@ def test_dqubo_energy_sum_guard():
     # every coefficient fits in 64 bits (the largest is 2 beta * 3 * 4 = 2.4e18),
     # but the all-slack energy 9 alpha + 100 beta = 1e19 would wrap
     inst = make_instance([[1, 0], [0, 1]], [1, 1], 4)
-    with pytest.raises(OverflowError, match="energies"):
+    with pytest.raises(CapacityError, match="energies"):
         build_dqubo(inst, beta=10**17)
     assert build_dqubo(inst, beta=10**16).qubo.energy_bound() < 2**63
 
