@@ -16,6 +16,14 @@ updates energies through local fields, "behavioral-cim" makes one filter check
 and one crossbar read per run and proposal with that run's own generator.
 With noise disabled the two backends return identical records.
 
+In hycim mode the exact fields are the n item fields of x^T q x.  In dqubo
+mode the exact loop never reads the (n + C)^2 matrix: it anneals the factored
+penalty -x^T P x + alpha (sum y - 1)^2 + beta s^2 of
+transform._penalty_flip_terms, keeping per run n + 1 fields (the profit
+fields and 2 alpha (sum y - 1)) and 2 beta s, so per-iteration work and kept
+memory do not grow with C.  The full matrix is read once per batch, by
+energy_bound() and, without a given schedule, flip_scale().
+
 Proposals flip one uniformly chosen bit.  A proposal is accepted when its
 energy change dE satisfies dE <= 0, otherwise with probability exp(-dE / T)
 under a geometric temperature schedule.  In hycim mode the gated energy is
@@ -25,11 +33,14 @@ drift without touching the crossbar; once a feasible configuration has been
 accepted, over-weight proposals are filter-rejected outright and the walk
 never leaves the feasible region.
 
-Energies, fields and thresholds share one lane per context: int32 when
-energy_bound() + 1 fits, else int64, and float64 under crossbar read noise; no
-energy or change exceeds the bound.  Fields start as one float64 x @ r0, exact
-as each partial sum is a subset sum within energy_bound() <= 2^53.  An integer
-dE < T g iff dE < ceil(T g), so lane thresholds are ceil(T g) in [1, bound + 1].
+Energies, fields and thresholds share one lane per context, chosen from a
+bound on everything the loop holds: energy_bound(), or for factored dqubo the
+bound of _penalty_flip_terms (twice build_dqubo's term-by-term 2^63 guard).
+The lane is int32 when that bound + 1 fits, else int64, and float64 under
+crossbar read noise.  Fields start as one product of the configurations with
+the coupling, in float64 when the bound is within 2^53 (each partial sum is a
+subset sum within it), else in int64.  An integer dE < T g iff
+dE < ceil(T g), so lane thresholds are ceil(T g) in [1, energy_bound() + 1].
 """
 from __future__ import annotations
 
@@ -46,6 +57,7 @@ from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
     InequalityQuboModel,
+    _penalty_flip_terms,
     build_dqubo,
     build_inequality_qubo,
 )
@@ -143,8 +155,7 @@ class _Context:
             raise ConfigurationError("filter_config needs the behavioral-cim backend")
         qubo = problem.qubo
         bound = qubo.energy_bound()
-        # the float64 set-up product x @ r0 and the thresholds ceil(T g) are
-        # exact only for integers up to 2^53
+        # the thresholds ceil(T g) are exact only for integers up to 2^53
         if bound > _FLOAT_EXACT:
             raise ConfigurationError(
                 f"energies up to {bound} exceed 2^53, beyond exact Metropolis comparisons"
@@ -157,7 +168,20 @@ class _Context:
         self.weights[: self.instance.n] = self.instance.weights
         self.iterations = schedule.iterations
         self.temps = schedule.temperatures()
-        lane = np.int32 if bound + 1 <= np.iinfo(np.int32).max else np.int64
+        # the lane holds every quantity the loop keeps: energies, fields and thresholds
+        lane_bound = bound
+        factored = backend == BACKEND_EXACT and self.mode == MODE_DQUBO
+        if factored:
+            coupling, diag, slopes, costs, lane_bound = _penalty_flip_terms(problem)
+            if lane_bound > np.iinfo(np.int64).max:
+                raise ConfigurationError(
+                    f"factored penalty terms up to {lane_bound} overflow 64-bit arithmetic"
+                )
+        elif backend == BACKEND_EXACT:
+            coupling = qubo.q + qubo.q.T
+            np.fill_diagonal(coupling, 0)
+            diag = np.diagonal(qubo.q)
+        lane = np.int32 if lane_bound + 1 <= np.iinfo(np.int32).max else np.int64
         # delta = 1 - 2 x_j looked up by x_j: +1 when a flip switches bit j on, -1 when off
         self.flip_sign = np.array([1, -1], dtype=lane)
         self.crossbar_noisy = crossbar_noise_sigma > 0
@@ -167,10 +191,15 @@ class _Context:
         self.threshold_clip = ((np.finfo(np.float64).smallest_subnormal, math.inf) if self.crossbar_noisy
                                else (1, math.ceil(math.nextafter(bound, math.inf))))
         if backend == BACKEND_EXACT:
-            r0 = qubo.q + qubo.q.T
-            np.fill_diagonal(r0, 0)
-            self.r0 = r0.astype(lane)
-            self.diag = np.diagonal(qubo.q).astype(lane)
+            self.coupling = coupling.astype(lane)
+            self.diag = diag.astype(lane)
+            # the start fields are one product, in float64 when its partial sums are exact there
+            self.product_dtype = np.float64 if lane_bound <= _FLOAT_EXACT else np.int64
+            if factored:
+                self.beta = problem.beta
+                self.slopes = slopes.astype(lane)
+                self.steps = (2 * problem.beta * slopes).astype(lane)  # moves of 2 beta s
+                self.costs = costs.astype(lane)
         else:
             self.crossbar = program_crossbar(qubo, noise_sigma=crossbar_noise_sigma)
             self.filter_model = None  # dqubo proposals are never gated
@@ -197,7 +226,7 @@ def _cim_evaluate(ctx, configs, rngs, energies):
 
 def _anneal(ctx, initials, seeds, record_trajectory=False):
     """Advance one block of runs in lockstep; one RunRecord per seed, in order."""
-    runs, iters, cap = len(seeds), ctx.iterations, ctx.instance.capacity
+    runs, iters, cap, n = len(seeds), ctx.iterations, ctx.instance.capacity, ctx.instance.n
     exact = ctx.backend == BACKEND_EXACT
     hycim = ctx.mode == MODE_HYCIM
     # drawn as int64 from each run's generator, stored in the smallest dtype that holds them
@@ -223,12 +252,19 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     wsum = x @ ctx.weights
     if exact:
         del rngs  # 1.5 KiB per run; only the behavioral backend draws from them again
-        # flipping bit j changes x^T q x by delta * field[r, j]; x @ r0 is exact in float64
-        field = np.matmul(x, ctx.r0, dtype=np.float64).astype(np.int64) + ctx.diag
-        # x^T q x = sum_j x_j (field_j + q_jj) / 2, summed in int64 since it may pass the lane
-        qf = np.einsum("ri,ri->r", field + ctx.diag, x) // 2 + ctx.qubo.offset
+        # hycim fields cover the bits; dqubo fields cover the items and the slack count
+        z = x if hycim else np.column_stack([x[:, :n], x[:, n:].sum(axis=1)])
+        field = np.matmul(z, ctx.coupling, dtype=ctx.product_dtype).astype(np.int64) + ctx.diag
+        # x^T q x, or the penalty energy less beta s^2, is sum_j z_j (field_j + diag_j) / 2
+        # plus the offset, summed in int64 since it may pass the lane
+        qf = np.einsum("ri,ri->r", field + ctx.diag, z) // 2 + ctx.qubo.offset
+        if not hycim:
+            s = np.matmul(x, ctx.slopes, dtype=np.int64)  # w.x - sum_k k y_k
+            qf += ctx.beta * s * s
+            s2 = (2 * ctx.beta * s).astype(ctx.energy_dtype)
         field, qf = field.astype(ctx.energy_dtype), qf.astype(ctx.energy_dtype)
         fieldf = field.reshape(-1)
+        fbase = np.arange(runs) * field.shape[1]
         feas = wsum <= cap if hycim else np.ones(runs, dtype=bool)
         energy = np.where(feas, qf, 0)
     else:
@@ -248,7 +284,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         traj_feas = np.empty((iters, runs), dtype=bool)
 
     for i in range(iters):
-        j = flips[i]
+        j = flips[i].astype(np.intp)  # indexes faster than the stored small type
         pos = base + j
         delta = ctx.flip_sign[xf[pos]]
         if track_weight:
@@ -256,7 +292,11 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         if exact:
             if hycim:
                 passed = wn <= cap
-            e_new = qf + delta * fieldf[pos]
+                e_new = qf + delta * fieldf[pos]
+            else:
+                # all slack bits read the count column; the change is summed before it meets qf
+                col = np.minimum(j, n)
+                e_new = qf + (delta * (fieldf[fbase + col] + ctx.slopes[j] * s2) + ctx.costs[j])
         else:
             probes = x.copy()
             probes.reshape(-1)[pos] ^= 1
@@ -289,23 +329,31 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
             if exact:
                 # once every run is feasible, qf is the energy; before, drift moves qf alone
                 qf = energy if all_feasible else np.where(moved, e_new, qf)
-                # r0 is symmetric, so row j is the column bit j couples through
-                switched_on = delta[idx] > 0
-                on, off = idx[switched_on], idx[~switched_on]
-                if on.size:
-                    field[on] += ctx.r0.take(j[on], axis=0)
-                if off.size:
-                    field[off] -= ctx.r0.take(j[off], axis=0)
+                # the coupling is symmetric, so a row is the column its bit couples through;
+                # rows are at most n + 1 wide, so one signed add beats adds split by sign
+                d = delta[idx]
+                field[idx] += d[:, None] * ctx.coupling.take((j if hycim else col)[idx], axis=0)
+                if not hycim:
+                    s2[idx] += d * ctx.steps[j[idx]]
         if record_trajectory:
             traj_e[i] = energy
             traj_moved[i] = moved
             traj_feas[i] = passed if hycim else wsum <= cap
 
-    xs = best_x[:, : ctx.instance.n].astype(np.int64)
+    xs = best_x[:, :n].astype(np.int64)
     profit = np.einsum("ri,ij,rj->r", xs, ctx.instance.profits, xs)
-    values = np.where(xs @ ctx.instance.weights <= cap, profit, 0)
+    values = np.where(xs @ ctx.instance.weights <= cap, profit, 0).tolist()
+    # records share equal counts, ints and configurations, as a study keeps thousands
+    counts = list(range(iters + 1))
+    energies = best_e.tolist()
+    shared = [{v: v for v in column} for column in (energies, values)]
+    _, first, which = np.unique(best_x.view(np.dtype((np.void, ctx.dim))).reshape(-1),
+                                return_index=True, return_inverse=True)
+    configs = best_x[first]
+    configs.setflags(write=False)
+    configs = list(configs)  # read-only views, one per distinct configuration
+    which = which.tolist()
     records = []
-    counts = list(range(iters + 1))  # shared by the records, as a study keeps thousands
     for r, seed in enumerate(seeds):
         traj = None
         if record_trajectory:
@@ -314,9 +362,9 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         records.append(RunRecord(
             seed=seed,
             mode=ctx.mode,
-            best_energy=best_e[r].item(),
-            best_config=best_x[r],
-            best_qkp_value=int(values[r]),
+            best_energy=shared[0][energies[r]],
+            best_config=configs[which[r]],
+            best_qkp_value=shared[1][values[r]],
             trajectory=traj,
             filter_rejections=counts[iters - evaluations[r]],
             evaluations=counts[evaluations[r]],
@@ -406,6 +454,7 @@ def batch_solve(
     num_initials = _as_int(num_initials, "num_initials", 1)
     runs_per_initial = _as_int(runs_per_initial, "runs_per_initial", 1)
     master_seed = _as_int(master_seed, "master_seed", 0, _SEED_LIMIT)
+    alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
     jobs = min(_as_int(jobs, "jobs", 1), num_initials)
     bounds = np.linspace(0, num_initials, jobs + 1).astype(int).tolist()
     payloads = [
@@ -419,7 +468,10 @@ def batch_solve(
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [rec for chunk in pool.map(_batch_worker, payloads) for rec in chunk]
+        records = [rec for chunk in pool.map(_batch_worker, payloads) for rec in chunk]
+    for rec in records:
+        rec.best_config.setflags(write=False)  # unpickled arrays come back writeable
+    return records
 
 
 def write_trajectory_csv(record: RunRecord, path) -> None:

@@ -1,8 +1,19 @@
 """Shared exception types."""
 
 
+def _rebuild(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
+
+
 class CimQuboError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # pickle by message and attributes: __init__ of a subclass may take other
+        # arguments, so a worker process can send any of these errors back
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class ValidationError(CimQuboError):

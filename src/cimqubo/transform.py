@@ -86,7 +86,10 @@ class InequalityQuboModel:
 
 @dataclass(frozen=True, eq=False)
 class DQuboModel:
-    """Penalty formulation over n item bits plus C one-hot slack bits."""
+    """Penalty formulation over n item bits plus C one-hot slack bits.
+
+    qubo is build_dqubo(instance, alpha, beta).qubo; the exact annealer works
+    from the factored terms of instance, alpha and beta instead."""
 
     qubo: QuboMatrix
     alpha: int
@@ -104,6 +107,15 @@ def build_inequality_qubo(instance: QkpInstance) -> InequalityQuboModel:
     return InequalityQuboModel(qubo=QuboMatrix(-instance.profits, offset=0), instance=instance)
 
 
+def _penalty_bound(instance: QkpInstance, alpha: int, beta: int) -> int:
+    """Term by term, the |coefficients| of -profits, beta (w.x - sum k y_k)^2
+    and alpha (sum y_k - 1)^2, offset included, sum to at most
+    sum |p_ij| + beta (sum w + C (C + 1) / 2)^2 + alpha (C^2 + 1)."""
+    C = instance.capacity
+    return (_exact_sum(instance.profits.view(np.uint64))
+            + beta * (instance.total_weight + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
+
+
 def build_dqubo(
     instance: QkpInstance, alpha: int = DEFAULT_PENALTY, beta: int = DEFAULT_PENALTY
 ) -> DQuboModel:
@@ -116,12 +128,9 @@ def build_dqubo(
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
     n, C = instance.n, instance.capacity
     dim = n + C
-    # Term by term, |coefficients| of -profits, beta (w.x - sum k y_k)^2 and
-    # alpha (sum y_k - 1)^2 sum to at most the bound below, offset included.
     # Below 2^63 neither an energy nor a kept coefficient can wrap; the
     # diagonals that are discarded or overwritten below may, harmlessly.
-    bound = (_exact_sum(instance.profits.view(np.uint64))
-             + beta * (instance.total_weight + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
+    bound = _penalty_bound(instance, alpha, beta)
     if bound > _INT64_MAX:
         raise CapacityError(
             f"penalty energies up to {bound} overflow 64-bit arithmetic (capacity {C})"
@@ -146,6 +155,38 @@ def build_dqubo(
     q[:n, n:] = -2 * beta * np.outer(w, k)
     q.setflags(write=False)  # QuboMatrix keeps it without a copy
     return DQuboModel(qubo=QuboMatrix(q, offset=alpha), alpha=alpha, beta=beta, instance=instance)
+
+
+def _penalty_flip_terms(model: DQuboModel):
+    """The penalty energy of model factored for single-bit flips, as
+    (coupling, diag, slopes, costs, bound), without the (n + C)^2 matrix.
+
+    Write z = (x, sum_k y_k) for the n item bits and the slack count, and
+    s = v.(x, y) = w.x - sum_k k y_k with slopes v = (w, -1, ..., -C).  The
+    (n + 1)^2 coupling holds -2 p_il off its diagonal and 2 alpha in its count
+    corner, and diag = (-p_ii, -2 alpha).  The field F = z @ coupling + diag
+    gives the energy sum_i z_i (F_i + diag_i) / 2 + alpha + beta s^2, and
+    flipping bit j by delta = +-1 changes it by
+    delta (F[min(j, n)] + 2 beta s v_j) + costs_j, costs_j = beta v_j^2 +
+    alpha [j >= n], while s moves by delta v_j and F by delta coupling[min(j, n)].
+
+    bound = 2 _penalty_bound covers every one of these quantities.  With
+    T = sum w + C (C + 1) / 2: |F| <= sum |p_ij| or 2 alpha C, |2 beta s| <=
+    2 beta T, |v_j 2 beta s| <= 2 beta T^2, so the sum in parentheses stays
+    within the bound; every energy, energy change and cost stays within
+    _penalty_bound itself.
+    """
+    inst, alpha, beta = model.instance, model.alpha, model.beta
+    n = inst.n
+    coupling = np.zeros((n + 1, n + 1), dtype=np.int64)
+    coupling[:n, :n] = -2 * inst.profits
+    np.fill_diagonal(coupling, 0)  # the doubled profit diagonal may wrap; it is discarded
+    coupling[n, n] = 2 * alpha
+    diag = np.append(-np.diagonal(inst.profits), -2 * alpha)
+    slopes = np.concatenate([inst.weights, -np.arange(1, inst.capacity + 1, dtype=np.int64)])
+    costs = beta * slopes * slopes
+    costs[n:] += alpha
+    return coupling, diag, slopes, costs, 2 * _penalty_bound(inst, alpha, beta)
 
 
 def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> QuantizationInfo:

@@ -346,6 +346,45 @@ def test_batch_parallel_matches_serial(tiny):
         assert serial == parallel
 
 
+def test_records_share_read_only_configurations_and_ints():
+    inst = criterion7_instance()
+    records = batch_solve(inst, "hycim", 10, 10, schedule=short(iters=400, t=50.0), master_seed=2)
+    for field in ("best_energy", "best_qkp_value"):
+        values = [getattr(rec, field) for rec in records]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values), field
+    configs = [rec.best_config for rec in records]
+    assert len({id(c) for c in configs}) == len({c.tobytes() for c in configs}) < len(configs)
+    assert not any(c.flags.writeable for c in configs)
+    # records from worker processes come back unpickled, and are frozen again
+    parallel = batch_solve(inst, "hycim", 10, 10, schedule=short(iters=400, t=50.0), master_seed=2,
+                           jobs=2)
+    assert parallel == records
+    assert not any(rec.best_config.flags.writeable for rec in parallel)
+
+
+def test_batch_checks_penalties_before_starting_workers(tiny):
+    for name in ("alpha", "beta"):
+        with pytest.raises(ValidationError) as refused:
+            batch_solve(tiny, "dqubo", 2, 1, schedule=short(), **{name: 0}, jobs=2)
+        assert refused.value.field == name
+
+
+def test_exact_penalty_context_keeps_no_square_array():
+    # capacity 2000: the penalty matrix has 2020^2 entries, the factored fields n + 1 per run
+    inst = make_instance(np.ones((20, 20), dtype=np.int64), [200] * 20, 2000)
+    problem = build_dqubo(inst)
+    ctx = anneal._Context(problem, "exact-software", short(iters=50))
+    dim = problem.qubo.dim
+    assert dim == 2020
+    arrays = {name: value for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
+    assert arrays and all(a.size < dim * dim for a in arrays.values()), {
+        name: a.shape for name, a in arrays.items()}
+    initial = np.zeros(dim, dtype=np.int8)
+    initial[[0, 3, 20, 500]] = 1
+    rec = anneal._anneal(ctx, [initial], [5])[0]
+    assert rec.best_energy == problem.qubo.energy(rec.best_config)
+
+
 # Criterion-7 instance 1, master seed 1, 10 initials x 2 runs.  The digests
 # were recorded when every run was annealed on its own, so they pin the
 # lockstep records to those bit for bit.
@@ -401,6 +440,18 @@ def test_energy_bound_guard():
     rec = sa_run(build_inequality_qubo(edge), schedule=short(iters=50, t=1.0), initial=[0, 0], seed=1)
     assert rec.best_qkp_value == 2 * big
     assert rec.best_energy == -2 * big
+
+
+def test_factored_penalty_guard():
+    # beta w_i w_j cancels the profits, so energy_bound() stays small while the
+    # factored terms, sum p_ij + beta (sum w + 1)^2 + 2 alpha, pass 2^62
+    w = 3 << 28
+    problem = build_dqubo(make_instance(np.full((2, 2), w * w), [w, w], 1), beta=1)
+    assert problem.qubo.energy_bound() < 2**32
+    with pytest.raises(ConfigurationError, match="factored penalty terms"):
+        sa_run(problem, schedule=short(iters=5), initial=[0, 0, 0])
+    # the behavioral backend reads the matrix and needs only energy_bound()
+    sa_run(problem, backend="behavioral-cim", schedule=short(iters=5), initial=[0, 0, 0])
 
 
 def test_batch_validation(tiny):

@@ -160,6 +160,15 @@ def test_solve_builds_a_filter_config_only_in_hycim_mode(tiny_path, monkeypatch,
     assert [(c["filter_config"], c["crossbar_noise_sigma"]) for c in calls] == [(filter_config, 0.05)]
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--beta"])
+def test_solve_refuses_a_zero_penalty_with_workers(tiny_path, capsys, option):
+    code = main(["solve", tiny_path, "--mode", "dqubo", option, "0", "--jobs", "2",
+                 "--initials", "2", "--runs", "1", "--iters", "20"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{option[2:]}: must be an integer" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("trajectory", [False, True])
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_solve_refuses_a_seed_outside_the_seed_range(tiny_path, tmp_path, capsys, trajectory, seed):

@@ -47,7 +47,9 @@ from cimqubo import (
     success_rate_study,
     vmv_energy,
 )
+from cimqubo import anneal
 from cimqubo.filter_sim import VDD
+from cimqubo.transform import _penalty_flip_terms
 
 from conftest import (
     make_instance,
@@ -148,6 +150,21 @@ def hycim_diag(diag):
     return build_inequality_qubo(make_instance(np.diag(diag), [1] * len(diag), len(diag)))
 
 
+def cancelling_profits(weights, capacity, extra=0):
+    """Profits w_i w_j (plus extra on the off-diagonal neighbours), which beta = 1
+    cancels in the penalty matrix: its items couple only through extra, while
+    the profit field and beta s^2 still grow as (sum w)^2."""
+    near = np.eye(len(weights), k=1, dtype=np.int64)
+    profits = np.outer(weights, weights) + extra * (near + near.T)
+    return make_instance(profits, weights, capacity, name="cancel")
+
+
+# energy_bound() 1080046 fits int32, while beta s^2 and the profit field reach 8.1e9
+CANCEL_INT32 = cancelling_profits([40_000, 50_000], 3)
+# sum |p_ij| is 4.5 * 2^53 and energy_bound() 1.2e9: a float64 start field is off by 2
+CANCEL_FLOAT = cancelling_profits([2**26 + 1, 2**26 + 3, 2**26 + 5], 2, extra=1)
+
+
 @st.composite
 def lane_boundary_runs(draw):
     """A problem scaled so that energy_bound() lies a few steps either side of
@@ -188,9 +205,26 @@ def lane_boundary_runs(draw):
 # bound 2^53 and dE = bound: bound + 1 is no float64, the threshold must still pass it
 @example(run=(hycim_diag([2**53]), AnnealSchedule(5, 1e300, 1e300), [1]),
          backend="exact-software", seed=4)
+# the factored penalty terms outgrow energy_bound(): the lane must hold them, not only energies
+@example(run=(build_dqubo(CANCEL_INT32, 2, 1), AnnealSchedule(60, 1e6, 1e4), [1, 1, 0, 1, 0]),
+         backend="exact-software", seed=5)
+@example(run=(build_dqubo(CANCEL_FLOAT, 2, 1), AnnealSchedule(60, 1e9, 1e7), [1, 1, 1, 0, 1]),
+         backend="exact-software", seed=6)
 def test_lane_boundary_run_equals_plain_loop_replay(run, backend, seed):
     problem, schedule, initial = run
     assert_replays(problem, backend, schedule, initial, seed)
+
+
+def test_factored_penalty_lane_holds_every_term():
+    # wrapped int32 terms would still sum to the right energies, so the replays
+    # above cannot see a lane taken from energy_bound(); the lane itself can
+    narrow = anneal._Context(build_dqubo(CANCEL_INT32, 2, 1), "exact-software", SCHEDULE)
+    assert (narrow.energy_dtype, narrow.product_dtype) == (np.int64, np.float64)
+    wide = anneal._Context(build_dqubo(CANCEL_FLOAT, 2, 1), "exact-software", SCHEDULE)
+    assert (wide.energy_dtype, wide.product_dtype) == (np.int64, np.int64)
+    # the criterion-7 penalty problems stay in int32
+    criterion7 = generate_instance(20, density=0.5, wmax=20, pmax=50, cap_ratio=0.5, seed=1)
+    assert anneal._Context(build_dqubo(criterion7), "exact-software", SCHEDULE).energy_dtype == np.int32
 
 
 @common
@@ -200,6 +234,39 @@ def test_lane_boundary_run_equals_plain_loop_replay(run, backend, seed):
 def test_dqubo_closed_form_quantization_matches_built_matrix(inst, alpha, beta):
     built = quantization_info(build_dqubo(inst, alpha, beta).qubo)
     assert dqubo_quantization_info(inst, alpha, beta) == built
+
+
+@common
+@given(inst=instances(), alpha=st.integers(1, 300), beta=st.integers(1, 20),
+       bits=st.lists(st.integers(0, 1), min_size=32, max_size=32), j=st.integers(0, 31))
+@example(inst=CANCEL_INT32, alpha=2, beta=1, bits=[1, 1, 0, 1, 0], j=4)
+@example(inst=CANCEL_FLOAT, alpha=2, beta=1, bits=[1, 1, 1, 0, 1], j=1)
+def test_factored_flip_change_equals_the_matrix_energy_change(inst, alpha, beta, bits, j):
+    model = build_dqubo(inst, alpha, beta)
+    coupling, diag, slopes, costs, bound = (
+        t.tolist() if isinstance(t, np.ndarray) else t for t in _penalty_flip_terms(model))
+    n, dim = inst.n, model.qubo.dim
+    x, j = bits[:dim], j % dim
+    y = list(x)
+    y[j] ^= 1
+
+    def fields(bits):  # z @ coupling + diag with z = (x, sum_k y_k), in Python ints
+        z = bits[:n] + [sum(bits[n:])]
+        return z, [sum(zl * row[i] for zl, row in zip(z, coupling)) + diag[i] for i in range(n + 1)]
+
+    z, field = fields(x)
+    s = sum(v * b for v, b in zip(slopes, x))
+    energy = sum(zi * (f + d) for zi, f, d in zip(z, field, diag)) // 2 + alpha + beta * s * s
+    assert energy == model.qubo.energy(x)
+    delta, col = 1 - 2 * x[j], min(j, n)
+    inner = field[col] + slopes[j] * 2 * beta * s
+    change = delta * inner + costs[j]
+    assert change == model.qubo.energy(y) - energy
+    # a move shifts s by delta v_j and the field by delta times one coupling row
+    assert sum(v * b for v, b in zip(slopes, y)) == s + delta * slopes[j]
+    assert fields(y)[1] == [f + delta * c for f, c in zip(field, coupling[col])]
+    held = field + [2 * beta * s, slopes[j] * 2 * beta * s, inner, change, energy, costs[j]]
+    assert max(map(abs, held)) <= bound and model.qubo.energy_bound() <= bound
 
 
 SIGNS = {"mixed": (-1, 1), "positive": (0, 1), "negative": (-1, 0), "zero": (0, 0)}
@@ -421,6 +488,8 @@ INT_SETTINGS = [
     ("batch_solve", "num_initials", 1, lambda v: batch_solve(THREE, "hycim", v, 1, FIVE_STEPS)),
     ("batch_solve", "runs_per_initial", 1, lambda v: batch_solve(THREE, "hycim", 1, v, FIVE_STEPS)),
     ("batch_solve", "jobs", 1, lambda v: batch_solve(THREE, "hycim", 1, 1, FIVE_STEPS, jobs=v)),
+    ("batch_solve", "alpha", 1, lambda v: batch_solve(THREE, "dqubo", 1, 1, FIVE_STEPS, alpha=v)),
+    ("batch_solve", "beta", 1, lambda v: batch_solve(THREE, "dqubo", 1, 1, FIVE_STEPS, beta=v)),
     ("build_dqubo", "alpha", 1, lambda v: repr(build_dqubo(THREE, alpha=v))),
     ("build_dqubo", "beta", 1, lambda v: repr(build_dqubo(THREE, beta=v))),
     ("dqubo_quantization_info", "alpha", 1, lambda v: dqubo_quantization_info(THREE, v, 2)),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cimqubo
-from cimqubo import anneal, bench, cli, crossbar_sim, filter_sim, qkp, transform
+from cimqubo import anneal, bench, cli, crossbar_sim, errors, filter_sim, qkp, transform
 
 REMOVED = {
     "IsingModel", "ising_to_qubo", "qubo_to_ising", "classification_accuracy",
@@ -196,3 +196,27 @@ def test_equality_sees_every_compared_field(value, changes):
         assert value != _with(value, name, other), name
     if cls is qkp.QkpInstance:
         assert value == _with(value, "meta", {"seed": 1})
+
+
+# one instance of every error class, built with its own constructor arguments
+ERRORS = [
+    errors.CimQuboError("base"),
+    errors.ValidationError("alpha", "bad"),
+    errors.ParseError(3, "unexpected token"),
+    errors.DimensionError("shape"),
+    errors.CapacityError("too big"),
+    errors.ConfigurationError("unsupported"),
+    errors.SamplingError("gave up", feasible_found=2, infeasible_found=5),
+]
+
+
+def test_every_error_survives_pickling():
+    # batch_solve workers send their errors back to the parent process pickled
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert {type(e) for e in ERRORS} == classes
+    for error in ERRORS:
+        copy_ = pickle.loads(pickle.dumps(error))
+        assert type(copy_) is type(error)
+        assert str(copy_) == str(error) and copy_.args == error.args
+        assert vars(copy_) == vars(error)
