@@ -37,9 +37,8 @@ Energies, fields and thresholds share one lane per context, chosen from a
 bound on everything the loop holds: energy_bound(), or for factored dqubo the
 bound of _penalty_flip_terms (twice build_dqubo's term-by-term 2^63 guard).
 The lane is int32 when that bound + 1 fits, else int64, and float64 under
-crossbar read noise.  Fields start as one product of the configurations with
-the coupling, in float64 when the bound is within 2^53 (each partial sum is a
-subset sum within it), else in int64.  An integer dE < T g iff
+crossbar read noise.  Fields start as one int64 product of the configurations
+with the coupling, exact below the 2^63 lane guard.  An integer dE < T g iff
 dE < ceil(T g), so lane thresholds are ceil(T g) in [1, energy_bound() + 1].
 """
 from __future__ import annotations
@@ -50,9 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar_sim import program_crossbar, vmv_energy
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError
 from .filter_sim import FilterConfig, build_filter, filter_check
-from .qkp import _FLOAT_EXACT, _SEED_LIMIT, QkpInstance, _as_int, _fields_equal, as_bits
+from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float, _as_int,
+                  _fields_equal, as_bits)
 from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
@@ -86,11 +86,8 @@ class AnnealSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "iterations", _as_int(self.iterations, "iterations", 1))
-        if not 0 < self.t_end < math.inf:
-            raise ValidationError("t_end", f"must be positive and finite, got {self.t_end}")
-        if not self.t_end <= self.t_start < math.inf:
-            raise ValidationError("t_start", f"must be finite and >= t_end {self.t_end}, "
-                                  f"got {self.t_start}")
+        object.__setattr__(self, "t_end", _as_float(self.t_end, "t_end", _LEAST_POSITIVE))
+        object.__setattr__(self, "t_start", _as_float(self.t_start, "t_start", self.t_end))
 
     def temperatures(self) -> np.ndarray:
         if self.iterations == 1:
@@ -141,6 +138,7 @@ class _Context:
     """Everything reusable across runs of one (problem, backend, schedule) triple."""
 
     def __init__(self, problem, backend, schedule, filter_config=None, crossbar_noise_sigma=0.0):
+        crossbar_noise_sigma = _as_float(crossbar_noise_sigma, "crossbar_noise_sigma", 0.0)
         if isinstance(problem, InequalityQuboModel):
             self.mode = MODE_HYCIM
         elif isinstance(problem, DQuboModel):
@@ -188,13 +186,11 @@ class _Context:
         self.energy_dtype = np.float64 if self.crossbar_noisy else lane
         # T g floored above 0 passes every dE <= 0 and no dE > 0; ceil(T g) is floored at 1
         # and capped at bound + 1 as the least integer float above bound (2^53 + 1 rounds down)
-        self.threshold_clip = ((np.finfo(np.float64).smallest_subnormal, math.inf) if self.crossbar_noisy
+        self.threshold_clip = ((_LEAST_POSITIVE, math.inf) if self.crossbar_noisy
                                else (1, math.ceil(math.nextafter(bound, math.inf))))
         if backend == BACKEND_EXACT:
             self.coupling = coupling.astype(lane)
             self.diag = diag.astype(lane)
-            # the start fields are one product, in float64 when its partial sums are exact there
-            self.product_dtype = np.float64 if lane_bound <= _FLOAT_EXACT else np.int64
             if factored:
                 self.beta = problem.beta
                 self.slopes = slopes.astype(lane)
@@ -254,7 +250,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         del rngs  # 1.5 KiB per run; only the behavioral backend draws from them again
         # hycim fields cover the bits; dqubo fields cover the items and the slack count
         z = x if hycim else np.column_stack([x[:, :n], x[:, n:].sum(axis=1)])
-        field = np.matmul(z, ctx.coupling, dtype=ctx.product_dtype).astype(np.int64) + ctx.diag
+        field = np.matmul(z, ctx.coupling, dtype=np.int64) + ctx.diag
         # x^T q x, or the penalty energy less beta s^2, is sum_j z_j (field_j + diag_j) / 2
         # plus the offset, summed in int64 since it may pass the lane
         qf = np.einsum("ri,ri->r", field + ctx.diag, z) // 2 + ctx.qubo.offset
@@ -455,6 +451,7 @@ def batch_solve(
     runs_per_initial = _as_int(runs_per_initial, "runs_per_initial", 1)
     master_seed = _as_int(master_seed, "master_seed", 0, _SEED_LIMIT)
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
+    crossbar_noise_sigma = _as_float(crossbar_noise_sigma, "crossbar_noise_sigma", 0.0)
     jobs = min(_as_int(jobs, "jobs", 1), num_initials)
     bounds = np.linspace(0, num_initials, jobs + 1).astype(int).tolist()
     payloads = [

@@ -9,13 +9,11 @@ when x_i = x_j = 1, so the noiseless reading is exactly x^T q x + offset.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .qkp import _as_rng, as_bits
+from .qkp import _as_float, _as_rng, as_bits
 from .transform import QuboMatrix
 
 
@@ -58,8 +56,7 @@ def _plane_rows(mags: np.ndarray, words: int) -> np.ndarray:
 
 def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
     """Slice a coefficient matrix into bit planes, splitting mixed signs."""
-    if not 0 <= noise_sigma < math.inf:
-        raise ValidationError("noise_sigma", f"must be finite and >= 0, got {noise_sigma}")
+    noise_sigma = _as_float(noise_sigma, "noise_sigma", 0.0)
     mat = q.q
     words = -(-q.dim // 64)
     signs = [1] if np.any(mat > 0) else []
@@ -72,7 +69,7 @@ def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
     scale = np.concatenate([sign * (1 << np.arange(stack.shape[2], dtype=np.int64))
                             for sign, stack in zip(signs, stacks)])
     scale.setflags(write=False)
-    return CrossbarModel(rows=rows, scale=scale, offset=q.offset, noise_sigma=float(noise_sigma))
+    return CrossbarModel(rows=rows, scale=scale, offset=q.offset, noise_sigma=noise_sigma)
 
 
 def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SamplingError, ValidationError
-from .qkp import _SEED_LIMIT, _as_int, _as_int_array, _as_rng, as_bits
+from .qkp import _SEED_LIMIT, _as_float, _as_int, _as_int_array, _as_rng, as_bits
 
 # precharge voltage of both matchlines
 VDD = 2.0
@@ -39,9 +39,7 @@ class FilterConfig:
     def __post_init__(self):
         for name in ("rows", "levels_per_cell"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, 1))
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValidationError("noise_sigma", f"must be finite and >= 0, got {self.noise_sigma}")
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        object.__setattr__(self, "noise_sigma", _as_float(self.noise_sigma, "noise_sigma", 0.0))
 
     @property
     def column_budget(self) -> int:

@@ -12,7 +12,6 @@ both orderings, so an off-diagonal pair contributes p_ij + p_ji = 2 p_ij.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -27,6 +26,7 @@ _FLOAT_EXACT = 1 << 53  # float64 holds every integer up to here
 _INT8 = np.dtype(np.int8)
 _ORACLE_BLOCK = 1 << 18  # oracle scores per block: 2 MiB per float64 temporary
 _SEED_LIMIT = 1 << 64  # seeds are nonnegative and below this, as run seeds are uint64
+_FLOAT_MAX, _LEAST_POSITIVE = float(np.finfo(float).max), float(np.finfo(float).smallest_subnormal)
 
 
 def as_bits(x, n: int | None = None) -> np.ndarray:
@@ -84,6 +84,16 @@ def _as_int(value, name: str, minimum: int, limit: int = 1 << 63) -> int:
             return int(value)
     raise ValidationError(name, f"must be an integer in [{minimum}, 2^{limit.bit_length() - 1}), "
                           f"got {value!r}")
+
+
+def _as_float(value, name: str, minimum: float, maximum: float = _FLOAT_MAX) -> float:
+    """The rule for every real-valued setting: a scalar integer or float, not a bool, in
+    [minimum, maximum], as a Python float.  Numpy scalars compare as float64 (a float32
+    cast to the float64 maximum overflows), Python ints exactly, so 10**400 is refused."""
+    number = float(value) if isinstance(value, (np.integer, np.floating)) else value
+    if isinstance(number, (int, float)) and not isinstance(number, bool) and minimum <= number <= maximum:
+        return float(number)
+    raise ValidationError(name, f"must be a number in [{minimum!r}, {maximum!r}], got {value!r}")
 
 
 def _fields_equal(a, b):
@@ -310,10 +320,8 @@ def generate_instance(
     """
     n, wmax, pmax = _as_int(n, "n", 2), _as_int(wmax, "wmax", 1), _as_int(pmax, "pmax", 1)
     seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
-    if not 0.0 <= density <= 1.0:
-        raise ValidationError("density", f"must be in [0, 1], got {density}")
-    if not 0.0 < cap_ratio < math.inf:
-        raise ValidationError("cap_ratio", f"must be positive and finite, got {cap_ratio}")
+    density = _as_float(density, "density", 0.0, 1.0)
+    cap_ratio = _as_float(cap_ratio, "cap_ratio", _LEAST_POSITIVE)
     rng = np.random.default_rng(seed)
     weights = rng.integers(1, wmax + 1, size=n, dtype=np.int64)
     diag = rng.integers(1, pmax + 1, size=n, dtype=np.int64)
@@ -324,7 +332,7 @@ def generate_instance(
     profits[iu] = np.where(present[iu], values[iu], 0)
     profits = profits + profits.T
     np.fill_diagonal(profits, diag)
-    capacity = max(1, round(cap_ratio * float(sum(weights.tolist()))))  # int64 sums can wrap
+    capacity = max(1.0, float(np.rint(cap_ratio * float(sum(weights.tolist())))))  # int64 sums can wrap
     meta = {
         "seed": seed,
         "params": {"n": n, "density": density, "wmax": wmax, "pmax": pmax, "cap_ratio": cap_ratio},

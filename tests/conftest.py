@@ -7,6 +7,8 @@ the vectorized production code they are checking.
 
 import hashlib
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +201,20 @@ def ref_int_setting(value, minimum, limit=2**63):
         return None
     number = int(value)
     return number if minimum <= number < limit else None
+
+
+def ref_real_setting(value, minimum, maximum=sys.float_info.max):
+    """The float a real-valued setting stands for, or None when it must be
+    refused: a Python or numpy integer or float in [minimum, maximum], never a
+    bool, nan or an infinity.  Python ints compare exactly, numpy scalars as
+    their float64 value."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return float(value) if Fraction(minimum) <= Fraction(value) <= Fraction(maximum) else None
 
 
 def ref_initials(master, num_initials, dim):

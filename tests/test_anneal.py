@@ -1,5 +1,6 @@
 """Annealing schedules, single runs, gating semantics, batch orchestration."""
 
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -367,6 +368,15 @@ def test_batch_checks_penalties_before_starting_workers(tiny):
         with pytest.raises(ValidationError) as refused:
             batch_solve(tiny, "dqubo", 2, 1, schedule=short(), **{name: 0}, jobs=2)
         assert refused.value.field == name
+
+
+def test_batch_checks_noise_before_starting_workers(tiny, monkeypatch):
+    # an error raised in a worker pickles back as itself, so refuse to start one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    with pytest.raises(ValidationError) as refused:
+        batch_solve(tiny, "hycim", 2, 1, schedule=short(), backend="behavioral-cim",
+                    crossbar_noise_sigma="0.1", jobs=2)
+    assert refused.value.field == "crossbar_noise_sigma"
 
 
 def test_exact_penalty_context_keeps_no_square_array():

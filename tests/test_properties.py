@@ -1,12 +1,14 @@
 """Property tests of the lockstep annealer, the penalty coefficient
 formulas and their soundness, the packed crossbar read, the filter's verdicts,
 matchline replay and array budgets, the QUBO file round trip, the instance
-file round trip, the exhaustive oracle on random instances and matrices, and
-the one integer rule of every count, size, penalty setting and seed."""
+file round trip, the exhaustive oracle on random instances and matrices, the
+one integer rule of every count, size, penalty setting and seed, and the one
+real-number rule of every temperature, noise level and generator ratio."""
 
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +62,7 @@ from conftest import (
     ref_int_setting,
     ref_plane_counts,
     ref_qubo_energy,
+    ref_real_setting,
     ref_run_seed,
     ref_weight,
 )
@@ -218,10 +221,8 @@ def test_lane_boundary_run_equals_plain_loop_replay(run, backend, seed):
 def test_factored_penalty_lane_holds_every_term():
     # wrapped int32 terms would still sum to the right energies, so the replays
     # above cannot see a lane taken from energy_bound(); the lane itself can
-    narrow = anneal._Context(build_dqubo(CANCEL_INT32, 2, 1), "exact-software", SCHEDULE)
-    assert (narrow.energy_dtype, narrow.product_dtype) == (np.int64, np.float64)
-    wide = anneal._Context(build_dqubo(CANCEL_FLOAT, 2, 1), "exact-software", SCHEDULE)
-    assert (wide.energy_dtype, wide.product_dtype) == (np.int64, np.int64)
+    for cancel in (CANCEL_INT32, CANCEL_FLOAT):
+        assert anneal._Context(build_dqubo(cancel, 2, 1), "exact-software", SCHEDULE).energy_dtype == np.int64
     # the criterion-7 penalty problems stay in int32
     criterion7 = generate_instance(20, density=0.5, wmax=20, pmax=50, cap_ratio=0.5, seed=1)
     assert anneal._Context(build_dqubo(criterion7), "exact-software", SCHEDULE).energy_dtype == np.int32
@@ -602,3 +603,78 @@ def test_master_seed_forms_give_equal_records(seed):
         THREE, "hycim", 2, 2, FIVE_STEPS, master_seed=3)
     report = _study(master_seed=seed)
     assert report == _study(master_seed=3) and type(report.master_seed) is int
+
+
+# ------------------------------------------------- one real-number rule for settings
+
+FLOAT_MAX = sys.float_info.max
+# (the call site, the ValidationError field, the least and the greatest valid
+# value, the call) for every real-valued setting
+REAL_SETTINGS = [
+    ("AnnealSchedule", "t_end", TINY, FLOAT_MAX, lambda v: AnnealSchedule(5, v, v)),
+    ("AnnealSchedule", "t_start", 1.0, FLOAT_MAX, lambda v: AnnealSchedule(5, v, 1.0)),
+    ("FilterConfig", "noise_sigma", 0.0, FLOAT_MAX, lambda v: FilterConfig(noise_sigma=v)),
+    ("program_crossbar", "noise_sigma", 0.0, FLOAT_MAX,
+     lambda v: vmv_energy(program_crossbar(build_inequality_qubo(THREE).qubo, v), [1, 0, 1], 3)),
+    ("sa_run", "crossbar_noise_sigma", 0.0, FLOAT_MAX,
+     lambda v: sa_run(build_inequality_qubo(THREE), "behavioral-cim", FIVE_STEPS, [0, 1, 0], 1,
+                      crossbar_noise_sigma=v)),
+    ("batch_solve", "crossbar_noise_sigma", 0.0, FLOAT_MAX,
+     lambda v: batch_solve(THREE, "hycim", 1, 2, FIVE_STEPS, "behavioral-cim", crossbar_noise_sigma=v)),
+    ("generate_instance", "density", 0.0, 1.0, lambda v: generate_instance(4, density=v)),
+    ("generate_instance", "cap_ratio", TINY, FLOAT_MAX, lambda v: generate_instance(4, cap_ratio=v)),
+]
+
+# small reals in every numeric form, so a valid value never asks for much work
+NEAR_REAL = st.floats(-2.0, 5.0)
+REAL_VALUES = st.one_of(
+    NEAR_REAL, NEAR_REAL.map(np.float64), NEAR_REAL.map(np.float32), NEAR, NEAR.map(np.int64),
+    st.integers(0, 6).map(np.uint8), st.integers(min_value=2**1024), st.integers(max_value=-1),
+    st.floats(max_value=-1.0), st.floats(allow_nan=True).filter(lambda f: not math.isfinite(f)),
+    st.sampled_from([np.bool_(False), "1", b"1", 1j, (), [0.5], np.array(0.5), np.float32(-3e38)]),
+)
+
+
+@pytest.mark.parametrize("site, name, minimum, maximum, call", REAL_SETTINGS,
+                         ids=[f"{site}.{name}" for site, name, *_ in REAL_SETTINGS])
+@settings(max_examples=15, deadline=None)
+@given(value=REAL_VALUES)
+# the holes before the rule: True and np.bool_(True) ran as 1.0, None, "0.5", 1j and
+# np.array([0.5]) escaped as a bare TypeError, 10**400 as a bare OverflowError, and a
+# float32 compared against the float64 maximum overflows in the cast
+@example(value=True)
+@example(value=np.bool_(True))
+@example(value=None)
+@example(value="0.5")
+@example(value=1j)
+@example(value=np.array([0.5]))
+@example(value=10**400)
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=np.float32(3e38))
+def test_real_settings_follow_one_rule(site, name, minimum, maximum, call, value):
+    for outside in (math.nextafter(minimum, -math.inf), math.nextafter(maximum, math.inf)):
+        with pytest.raises(ValidationError) as refused:
+            call(outside)
+        assert refused.value.field == name
+    call(minimum)
+    number = ref_real_setting(value, minimum, maximum)
+    if number is None:
+        with pytest.raises(ValidationError) as refused:
+            call(value)
+        assert refused.value.field == name, site
+    else:
+        assert _outcome(call, value) == _outcome(call, number)
+
+
+@settings(max_examples=20, deadline=None)
+@given(density=st.floats(0.0, 1.0, width=32), cap_ratio=st.floats(0.0625, 4.0, width=32))
+def test_generator_meta_from_numpy_floats_round_trips_through_json(density, cap_ratio):
+    # float32 settings once reached meta as numpy scalars, which json.dumps refuses
+    plain = generate_instance(4, density=density, cap_ratio=cap_ratio, seed=5)
+    narrow = generate_instance(4, density=np.float32(density), cap_ratio=np.float32(cap_ratio), seed=5)
+    text = dump_instance(narrow, JSON_FORMAT)
+    assert text == dump_instance(plain, JSON_FORMAT)
+    back = parse_instance(text, JSON_FORMAT)
+    assert back == plain and back.meta == plain.meta

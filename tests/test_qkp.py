@@ -239,6 +239,11 @@ def test_generator_rejects_bad_params():
     for cap_ratio in (0.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="cap_ratio"):
             generate_instance(5, cap_ratio=cap_ratio)
+    # a finite ratio whose capacity overflows meets the capacity rule, not round(inf)
+    for cap_ratio in (1e18, 1e308):
+        with pytest.raises(ValidationError) as refused:
+            generate_instance(5, cap_ratio=cap_ratio)
+        assert refused.value.field == "capacity"
 
 
 @pytest.mark.parametrize("kwargs", [dict(wmax=2.5), dict(wmax=math.nan), dict(pmax=math.inf),
