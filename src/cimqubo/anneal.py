@@ -16,9 +16,9 @@ updates energies through local fields, "behavioral-cim" makes one filter check
 and one crossbar read per run and proposal with that run's own generator.
 With noise disabled the two backends return identical records.
 
-In hycim mode the exact fields are the n item fields of x^T q x.  In dqubo
-mode the exact loop never reads the (n + C)^2 matrix: it anneals the factored
-penalty -x^T P x + alpha (sum y - 1)^2 + beta s^2 of
+In hycim mode the exact fields are the n item fields of x^T q x, coupled by
+transform._profit_fold.  In dqubo mode the exact loop never reads the
+(n + C)^2 matrix: it anneals the factored penalty of
 transform._penalty_flip_terms, keeping per run n + 1 fields (the profit
 fields and 2 alpha (sum y - 1)) and 2 beta s, so per-iteration work and kept
 memory do not grow with C.  The full matrix is read once per batch, by
@@ -34,8 +34,8 @@ accepted, over-weight proposals are filter-rejected outright and the walk
 never leaves the feasible region.
 
 Energies, fields and thresholds share one lane per context, chosen from a
-bound on everything the loop holds: energy_bound(), or for factored dqubo the
-bound of _penalty_flip_terms (twice build_dqubo's term-by-term 2^63 guard).
+bound on everything the loop holds: energy_bound(), or for factored dqubo
+twice the term-by-term bound build_dqubo guards below 2^63.
 The lane is int32 when that bound + 1 fits, else int64, and float64 under
 crossbar read noise.  Fields start as one int64 product of the configurations
 with the coupling, exact below the 2^63 lane guard.  An integer dE < T g iff
@@ -57,7 +57,9 @@ from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
     InequalityQuboModel,
+    _penalty_bound,
     _penalty_flip_terms,
+    _profit_fold,
     build_dqubo,
     build_inequality_qubo,
 )
@@ -166,19 +168,15 @@ class _Context:
         self.weights[: self.instance.n] = self.instance.weights
         self.iterations = schedule.iterations
         self.temps = schedule.temperatures()
-        # the lane holds every quantity the loop keeps: energies, fields and thresholds
+        # the lane holds every quantity the loop keeps: energies, fields, thresholds, fold terms
         lane_bound = bound
         factored = backend == BACKEND_EXACT and self.mode == MODE_DQUBO
         if factored:
-            coupling, diag, slopes, costs, lane_bound = _penalty_flip_terms(problem)
+            lane_bound = 2 * _penalty_bound(self.instance, problem.alpha, problem.beta)
             if lane_bound > np.iinfo(np.int64).max:
                 raise ConfigurationError(
                     f"factored penalty terms up to {lane_bound} overflow 64-bit arithmetic"
                 )
-        elif backend == BACKEND_EXACT:
-            coupling = qubo.q + qubo.q.T
-            np.fill_diagonal(coupling, 0)
-            diag = np.diagonal(qubo.q)
         lane = np.int32 if lane_bound + 1 <= np.iinfo(np.int32).max else np.int64
         # delta = 1 - 2 x_j looked up by x_j: +1 when a flip switches bit j on, -1 when off
         self.flip_sign = np.array([1, -1], dtype=lane)
@@ -188,14 +186,13 @@ class _Context:
         # and capped at bound + 1 as the least integer float above bound (2^53 + 1 rounds down)
         self.threshold_clip = ((_LEAST_POSITIVE, math.inf) if self.crossbar_noisy
                                else (1, math.ceil(math.nextafter(bound, math.inf))))
-        if backend == BACKEND_EXACT:
-            self.coupling = coupling.astype(lane)
-            self.diag = diag.astype(lane)
-            if factored:
-                self.beta = problem.beta
-                self.slopes = slopes.astype(lane)
-                self.steps = (2 * problem.beta * slopes).astype(lane)  # moves of 2 beta s
-                self.costs = costs.astype(lane)
+        if factored:
+            self.beta = problem.beta
+            self.coupling, self.diag, self.slopes, self.costs = _penalty_flip_terms(
+                self.instance, problem.alpha, problem.beta, lane)
+            self.steps = 2 * problem.beta * self.slopes  # moves of 2 beta s
+        elif backend == BACKEND_EXACT:
+            self.coupling, self.diag = _profit_fold(self.instance, lane)
         else:
             self.crossbar = program_crossbar(qubo, noise_sigma=crossbar_noise_sigma)
             self.filter_model = None  # dqubo proposals are never gated

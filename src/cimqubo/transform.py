@@ -116,20 +116,76 @@ def _penalty_bound(instance: QkpInstance, alpha: int, beta: int) -> int:
             + beta * (instance.total_weight + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
 
 
+def _profit_fold(instance: QkpInstance, dtype=np.int64):
+    """-x^T p x as (coupling, diag): -2 p_il couples distinct items i, l and
+    -p_ii sits on item i's diagonal."""
+    p = instance.profits.astype(dtype)
+    coupling = -2 * p
+    np.fill_diagonal(coupling, 0)  # the doubled profit diagonal may wrap; it is discarded
+    return coupling, -np.diagonal(p)
+
+
+def _penalty_fold(instance: QkpInstance, alpha: int, beta: int, dtype=np.int64, counts=None):
+    """beta s^2 + alpha (sum y - 1)^2 as (slopes, costs): s = v.(x, y), v = (w,
+    -k for each slack count k, by default 1 ... C), and costs_j = beta v_j^2 +
+    alpha [j >= n] is the part of a flip of bit j that no other bit changes."""
+    counts = np.arange(1, instance.capacity + 1) if counts is None else counts
+    slopes = np.concatenate([instance.weights, -np.asarray(counts, dtype=np.int64)]).astype(dtype)
+    costs = beta * slopes * slopes
+    costs[instance.n:] += alpha
+    return slopes, costs
+
+
+def _penalty_flip_terms(instance: QkpInstance, alpha: int, beta: int, dtype=np.int64, counts=None):
+    """The penalty energy factored for single-bit flips, as (coupling, diag,
+    slopes, costs), without the (n + C)^2 matrix.
+
+    Write z = (x, sum_k y_k) for the n item bits and the slack count.  The
+    (n + 1)^2 coupling is the profit fold with 2 alpha in its count corner,
+    diag = (-p_ii, -2 alpha), and _penalty_fold gives slopes and costs.  The
+    field F = z @ coupling + diag gives the energy sum_i z_i (F_i + diag_i) / 2
+    + alpha + beta s^2, and flipping bit j by delta = +-1 changes it by
+    delta (F[min(j, n)] + 2 beta s v_j) + costs_j, while s moves by delta v_j
+    and F by delta coupling[min(j, n)].
+
+    2 _penalty_bound covers every one of these quantities.  With
+    T = sum w + C (C + 1) / 2: |F| <= sum |p_ij| or 2 alpha C, |2 beta s| <=
+    2 beta T, |v_j 2 beta s| <= 2 beta T^2, so the sum in parentheses stays
+    within it; every energy, energy change and cost stays within
+    _penalty_bound itself.
+    """
+    coupling, diag = _profit_fold(instance, dtype)
+    coupling = np.pad(coupling, (0, 1))
+    coupling[-1, -1] = 2 * alpha
+    return (coupling, np.pad(diag, (0, 1), constant_values=-2 * alpha),
+            *_penalty_fold(instance, alpha, beta, dtype, counts))
+
+
+def _penalty_matrix(instance: QkpInstance, alpha: int, beta: int, dtype=np.int64, counts=None):
+    """The penalty objective expanded from its flip terms, squares folded onto
+    the diagonal by v^2 = v: pair j < l holds 2 beta v_j v_l plus coupling of
+    columns min(j, n), min(l, n), and diagonal j costs_j + diag[min(j, n)]."""
+    coupling, diag, slopes, costs = _penalty_flip_terms(instance, alpha, beta, dtype, counts)
+    n, dim = instance.n, len(slopes)
+    q = np.zeros((dim, dim), dtype=dtype)
+    q[:n, :n] = np.triu(2 * beta * np.outer(slopes[:n], slopes[:n]) + coupling[:n, :n])
+    q[:n, n:] = 2 * beta * np.outer(slopes[:n], slopes[n:])  # items and the count do not couple
+    yb = q[n:, n:]  # built in place: this block dominates memory at large capacity
+    np.multiply.outer(2 * beta * slopes[n:], slopes[n:], out=yb)
+    yb += coupling[n, n]
+    yb[np.tri(dim - n, dtype=bool)] = 0
+    np.fill_diagonal(q, costs + diag[np.minimum(np.arange(dim), n)])
+    return q
+
+
 def build_dqubo(
     instance: QkpInstance, alpha: int = DEFAULT_PENALTY, beta: int = DEFAULT_PENALTY
 ) -> DQuboModel:
-    """Expand the penalty objective into an (n + C)-variable matrix.
-
-    Binary idempotence v^2 = v folds squared terms onto the diagonal.  Pair
-    couplings land in the upper triangle with their full coefficient.  The
-    alpha constant from the one-hot square goes to the offset.
-    """
+    """_penalty_matrix, with the one-hot square's constant alpha as offset."""
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
-    n, C = instance.n, instance.capacity
-    dim = n + C
-    # Below 2^63 neither an energy nor a kept coefficient can wrap; the
-    # diagonals that are discarded or overwritten below may, harmlessly.
+    C = instance.capacity
+    dim = instance.n + C
+    # Below 2^63 no energy or kept coefficient wraps; discarded diagonals may
     bound = _penalty_bound(instance, alpha, beta)
     if bound > _INT64_MAX:
         raise CapacityError(
@@ -139,72 +195,19 @@ def build_dqubo(
         raise CapacityError(
             f"penalty matrix dimension {dim} exceeds the {_DQUBO_DIM_LIMIT} build limit"
         )
-    w = instance.weights
-    q = np.zeros((dim, dim), dtype=np.int64)
-    xb = 2 * beta * np.outer(w, w) - 2 * instance.profits
-    q[:n, :n] = np.triu(xb, k=1)
-    idx = np.arange(n)
-    q[idx, idx] = beta * w * w - np.diagonal(instance.profits)
-    k = np.arange(1, C + 1, dtype=np.int64)
-    yb = q[n:, n:]  # built in place: this block dominates memory at large capacity
-    np.multiply.outer(2 * beta * k, k, out=yb)
-    yb += 2 * alpha
-    yb[np.tri(C, dtype=bool)] = 0
-    idy = np.arange(n, dim)
-    q[idy, idy] = beta * k * k - alpha
-    q[:n, n:] = -2 * beta * np.outer(w, k)
+    q = _penalty_matrix(instance, alpha, beta)
     q.setflags(write=False)  # QuboMatrix keeps it without a copy
     return DQuboModel(qubo=QuboMatrix(q, offset=alpha), alpha=alpha, beta=beta, instance=instance)
 
 
-def _penalty_flip_terms(model: DQuboModel):
-    """The penalty energy of model factored for single-bit flips, as
-    (coupling, diag, slopes, costs, bound), without the (n + C)^2 matrix.
-
-    Write z = (x, sum_k y_k) for the n item bits and the slack count, and
-    s = v.(x, y) = w.x - sum_k k y_k with slopes v = (w, -1, ..., -C).  The
-    (n + 1)^2 coupling holds -2 p_il off its diagonal and 2 alpha in its count
-    corner, and diag = (-p_ii, -2 alpha).  The field F = z @ coupling + diag
-    gives the energy sum_i z_i (F_i + diag_i) / 2 + alpha + beta s^2, and
-    flipping bit j by delta = +-1 changes it by
-    delta (F[min(j, n)] + 2 beta s v_j) + costs_j, costs_j = beta v_j^2 +
-    alpha [j >= n], while s moves by delta v_j and F by delta coupling[min(j, n)].
-
-    bound = 2 _penalty_bound covers every one of these quantities.  With
-    T = sum w + C (C + 1) / 2: |F| <= sum |p_ij| or 2 alpha C, |2 beta s| <=
-    2 beta T, |v_j 2 beta s| <= 2 beta T^2, so the sum in parentheses stays
-    within the bound; every energy, energy change and cost stays within
-    _penalty_bound itself.
-    """
-    inst, alpha, beta = model.instance, model.alpha, model.beta
-    n = inst.n
-    coupling = np.zeros((n + 1, n + 1), dtype=np.int64)
-    coupling[:n, :n] = -2 * inst.profits
-    np.fill_diagonal(coupling, 0)  # the doubled profit diagonal may wrap; it is discarded
-    coupling[n, n] = 2 * alpha
-    diag = np.append(-np.diagonal(inst.profits), -2 * alpha)
-    slopes = np.concatenate([inst.weights, -np.arange(1, inst.capacity + 1, dtype=np.int64)])
-    costs = beta * slopes * slopes
-    costs[n:] += alpha
-    return coupling, diag, slopes, costs, 2 * _penalty_bound(inst, alpha, beta)
-
-
 def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> QuantizationInfo:
     """quantization_info of build_dqubo(instance, alpha, beta).qubo, from the
-    coefficient formulas alone.  Python ints keep it exact past the build's
-    dimension and 64-bit limits."""
+    matrix over the two largest slack counts (for C >= 2 their pair outgrows
+    the count-1 diagonal |beta - alpha|).  Python ints keep it exact past the
+    build's dimension and 64-bit limits."""
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
-    C = instance.capacity
-    w = np.array(instance.weights.tolist(), dtype=object)
-    p = np.array(instance.profits.tolist(), dtype=object)
-    xb = 2 * beta * np.outer(w, w) - 2 * p
-    np.fill_diagonal(xb, beta * w * w - np.diagonal(p))
-    ypair = 2 * alpha + 2 * beta * C * (C - 1) if C >= 2 else 0
-    # |beta k^2 - alpha| peaks at k = 1 or k = C, and for C >= 2 the k = 1
-    # value |beta - alpha| stays below ypair
-    ydiag = abs(beta * C * C - alpha)
-    cross = 2 * beta * max(instance.weights.tolist()) * C
-    return _quantization(max(int(np.abs(xb).max()), ypair, ydiag, cross))
+    q = _penalty_matrix(instance, alpha, beta, object, range(1, instance.capacity + 1)[-2:])
+    return _quantization(int(np.abs(q).max()))
 
 
 def _quantization(max_abs: int) -> QuantizationInfo:

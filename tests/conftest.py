@@ -233,6 +233,19 @@ def make_instance(profits, weights, capacity, name="test"):
     )
 
 
+def hundred_items(capacity, weight):
+    """100 items with a single profit of 100, so the profit matrix needs 7 bits."""
+    profits = np.ones((100, 100), dtype=np.int64)
+    profits[0, 0] = 100
+    return QkpInstance(
+        name=f"c{capacity}",
+        n=100,
+        profits=profits,
+        weights=np.full(100, weight, dtype=np.int64),
+        capacity=capacity,
+    )
+
+
 @pytest.fixture
 def tiny():
     """Three items, capacity 9. Hand-checkable: optimum 9 at [1,0,1], 6 of 8 feasible."""

@@ -28,24 +28,13 @@ from cimqubo import (
 )
 from cimqubo.qkp import QkpInstance
 
+from conftest import hundred_items
+
 
 def verdict(capsys, num, ok, detail):
     with capsys.disabled():
         print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def hundred_items(capacity, weight):
-    """100 items with a single profit of 100, so the profit matrix needs 7 bits."""
-    profits = np.ones((100, 100), dtype=np.int64)
-    profits[0, 0] = 100
-    return QkpInstance(
-        name=f"c{capacity}",
-        n=100,
-        profits=profits,
-        weights=np.full(100, weight, dtype=np.int64),
-        capacity=capacity,
-    )
 
 
 def test_criterion_01_filter_feasibility(capsys):

@@ -51,7 +51,7 @@ from cimqubo import (
 )
 from cimqubo import anneal
 from cimqubo.filter_sim import VDD
-from cimqubo.transform import _penalty_flip_terms
+from cimqubo.transform import _penalty_bound, _penalty_flip_terms
 
 from conftest import (
     make_instance,
@@ -244,8 +244,8 @@ def test_dqubo_closed_form_quantization_matches_built_matrix(inst, alpha, beta):
 @example(inst=CANCEL_FLOAT, alpha=2, beta=1, bits=[1, 1, 1, 0, 1], j=1)
 def test_factored_flip_change_equals_the_matrix_energy_change(inst, alpha, beta, bits, j):
     model = build_dqubo(inst, alpha, beta)
-    coupling, diag, slopes, costs, bound = (
-        t.tolist() if isinstance(t, np.ndarray) else t for t in _penalty_flip_terms(model))
+    coupling, diag, slopes, costs = (t.tolist() for t in _penalty_flip_terms(inst, alpha, beta))
+    bound = 2 * _penalty_bound(inst, alpha, beta)
     n, dim = inst.n, model.qubo.dim
     x, j = bits[:dim], j % dim
     y = list(x)

@@ -1,5 +1,6 @@
 """QUBO builds, penalty expansion, JSON serialization."""
 
+import hashlib
 import itertools
 import json
 
@@ -14,13 +15,15 @@ from cimqubo import (
     build_dqubo,
     brute_force_oracle,
     build_inequality_qubo,
+    dqubo_quantization_info,
     dump_qubo_json,
     generate_instance,
     load_qubo_json,
     quantization_info,
 )
 
-from conftest import make_instance, ref_constrained_energy, ref_dqubo_energy, ref_objective
+from conftest import (hundred_items, make_instance, ref_constrained_energy, ref_dqubo_energy,
+                      ref_objective)
 
 
 # ------------------------------------------------------- inequality mode
@@ -151,6 +154,45 @@ def test_default_penalty_ground_state_is_over_weight():
     assert ref_objective(inst.profits.tolist(), x[:7].tolist()) == 152
     assert int(inst.weights @ x[:7]) == 16
     assert brute_force_oracle(inst).best_value == 80
+
+
+def criterion7(seed):
+    return generate_instance(20, density=0.5, wmax=20, pmax=50, cap_ratio=0.5, seed=seed)
+
+
+# sha256 of the int64 matrix bytes, and the offset: every coefficient of the
+# criterion 2-4 instances and of three annealing instances, as first built
+PENALTY_MATRIX_PINS = [
+    (lambda: hundred_items(100, 2), 2, 2,
+     "384a513492481a3ce1b18a40dfc9ab7da998960e55d327bc6af6eaab5d8266c0", 2),
+    (lambda: hundred_items(2536, 64), 2, 2,
+     "0bda4fd6931b0e6da903280778cf0397cbed140c0fa0580a3313a092d18e949e", 2),
+    (lambda: criterion7(1), 2, 2,
+     "d324662aa8ea6e8e32423e8b190162e621ac435f742c0dd05fd4d1635405d819", 2),
+    (lambda: criterion7(2), 2, 2,
+     "4c71b6f3c14157684fb1846d980127d539a3e7a35650ecfcd578f5f914b2a547", 2),
+    (lambda: criterion7(3), 2, 2,
+     "186ae4805c810fdf98451f21e65569cf00b58c5350a4d4b7dec5e7b0467102b7", 2),
+    # alpha != beta, so swapped penalty weights show
+    (lambda: criterion7(3), 7, 3,
+     "75fe8b7658c28360f572887f8a5fdf2c408f0a83a16a19c0e69fd113f7488106", 7),
+]
+
+
+@pytest.mark.parametrize("make,alpha,beta,digest,offset", PENALTY_MATRIX_PINS)
+def test_penalty_matrices_are_pinned(make, alpha, beta, digest, offset):
+    qubo = build_dqubo(make(), alpha, beta).qubo
+    assert hashlib.sha256(qubo.q.tobytes()).hexdigest() == digest
+    assert qubo.offset == offset
+
+
+def test_penalty_peak_past_the_build_limit_is_pinned():
+    inst = hundred_items(10_000, 64)  # dimension 10100, past the 8192 build limit
+    with pytest.raises(CapacityError, match="dimension"):
+        build_dqubo(inst)
+    for alpha, beta, peak, bits in ((2, 2, 399_960_004, 29), (3, 5, 999_900_006, 30)):
+        info = dqubo_quantization_info(inst, alpha, beta)
+        assert (info.max_abs_element, info.bits) == (peak, bits)
 
 
 def test_dqubo_rejects_bad_penalty_weights(tiny):
