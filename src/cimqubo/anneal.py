@@ -50,7 +50,7 @@ import numpy as np
 
 from .crossbar_sim import program_crossbar, vmv_energy
 from .errors import ConfigurationError
-from .filter_sim import FilterConfig, build_filter, filter_check
+from .filter_sim import FilterConfig, _check_config, build_filter, filter_check
 from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float, _as_int,
                   _fields_equal, as_bits)
 from .transform import (
@@ -98,15 +98,25 @@ class AnnealSchedule:
         return self.t_start * ratio ** np.arange(self.iterations)
 
 
+def _mode_of(problem) -> str:
+    if isinstance(problem, InequalityQuboModel):
+        return MODE_HYCIM
+    if isinstance(problem, DQuboModel):
+        return MODE_DQUBO
+    raise ConfigurationError(f"cannot anneal a {type(problem).__name__}")
+
+
 def flip_scale(problem: InequalityQuboModel | DQuboModel) -> float:
     """Mean magnitude scale of a single-bit flip: flipping bit j changes the
     energy by at most sum_i |(Q + Q^T)_ij| + |Q_jj|, averaged over j."""
+    _mode_of(problem)
     q = problem.qubo.q
     if not q.size:
         return 0.0
-    paired = np.abs(q + q.T).astype(np.float64)
-    np.fill_diagonal(paired, 0.0)
-    return float(paired.sum(axis=0).mean() + np.abs(np.diagonal(q)).mean())
+    paired = q + q.T
+    np.abs(paired, out=paired)
+    np.fill_diagonal(paired, 0)
+    return float(paired.sum(axis=0, dtype=np.float64).mean() + np.abs(np.diagonal(q)).mean())
 
 
 def default_schedule(
@@ -141,18 +151,15 @@ class _Context:
 
     def __init__(self, problem, backend, schedule, filter_config=None, crossbar_noise_sigma=0.0):
         crossbar_noise_sigma = _as_float(crossbar_noise_sigma, "crossbar_noise_sigma", 0.0)
-        if isinstance(problem, InequalityQuboModel):
-            self.mode = MODE_HYCIM
-        elif isinstance(problem, DQuboModel):
-            self.mode = MODE_DQUBO
-        else:
-            raise ConfigurationError(f"cannot anneal a {type(problem).__name__}")
+        self.mode = _mode_of(problem)
         if backend not in (BACKEND_EXACT, BACKEND_CIM):
             raise ConfigurationError(f"unknown backend {backend!r}")
         if crossbar_noise_sigma and backend != BACKEND_CIM:
             raise ConfigurationError("crossbar_noise_sigma needs the behavioral-cim backend")
-        if filter_config is not None and backend != BACKEND_CIM:
-            raise ConfigurationError("filter_config needs the behavioral-cim backend")
+        if filter_config is not None:
+            _check_config(filter_config, "filter_config")
+            if backend != BACKEND_CIM:
+                raise ConfigurationError("filter_config needs the behavioral-cim backend")
         qubo = problem.qubo
         bound = qubo.energy_bound()
         # the thresholds ceil(T g) are exact only for integers up to 2^53
@@ -449,6 +456,8 @@ def batch_solve(
     master_seed = _as_int(master_seed, "master_seed", 0, _SEED_LIMIT)
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
     crossbar_noise_sigma = _as_float(crossbar_noise_sigma, "crossbar_noise_sigma", 0.0)
+    if filter_config is not None:
+        _check_config(filter_config, "filter_config")
     jobs = min(_as_int(jobs, "jobs", 1), num_initials)
     bounds = np.linspace(0, num_initials, jobs + 1).astype(int).tolist()
     payloads = [

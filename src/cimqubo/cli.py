@@ -40,8 +40,10 @@ from .bench import (
 from .errors import CimQuboError, ConfigurationError
 from .filter_sim import FilterConfig
 from .qkp import (
+    _LEAST_POSITIVE,
     JSON_FORMAT,
     TEXT_FORMAT,
+    _as_float,
     brute_force_oracle,
     dump_instance,
     generate_instance,
@@ -124,7 +126,9 @@ def _schedule_from_args(args, problem):
     base = default_schedule(problem, iterations=args.iterations)
     if args.t_start is None and args.t_end is None:
         return base
-    t_start = args.t_start if args.t_start is not None else base.t_start
+    # checked before t_end derives from it, so a bad value is named as given
+    t_start = base.t_start if args.t_start is None else _as_float(
+        args.t_start, "t_start", _LEAST_POSITIVE)
     t_end = args.t_end if args.t_end is not None else COOLING_RATIO * t_start
     return AnnealSchedule(iterations=args.iterations, t_start=t_start, t_end=t_end)
 

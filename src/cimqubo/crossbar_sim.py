@@ -9,10 +9,12 @@ when x_i = x_j = 1, so the noiseless reading is exactly x^T q x + offset.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError
 from .qkp import _as_float, _as_rng, as_bits
 from .transform import QuboMatrix
 
@@ -82,7 +84,8 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
     unit-current perturbation eta ~ N(0, noise_sigma) scaled by the cell's
     plane weight.  The count cells of one plane sum to a single
     N(0, count * noise_sigma^2) draw, so a noisy read takes one Gaussian per
-    plane.  Noiseless readings satisfy value == exact_value.
+    plane.  Noiseless readings satisfy value == exact_value; a noisy value
+    past the float64 range raises CapacityError.
     """
     bits = as_bits(x, model.dim)
     rows, scale = model.rows, model.scale
@@ -98,4 +101,7 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
     if model.noise_sigma > 0:
         eta = _as_rng(rng).standard_normal(scale.size) * np.sqrt(counts)
         value += model.noise_sigma * float(eta @ scale)
+        if not math.isfinite(value):
+            raise CapacityError(f"noisy reading {value} at noise_sigma {model.noise_sigma} "
+                                "is not a finite float64")
     return EnergyReading(value=value, exact_value=exact, activated_cells=sum(counts.tolist()))

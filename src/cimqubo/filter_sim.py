@@ -64,6 +64,11 @@ class FilterDecision:
     feasible: bool
 
 
+def _check_config(config, name: str = "config") -> None:
+    if not isinstance(config, FilterConfig):
+        raise ValidationError(name, f"must be a FilterConfig, got {type(config).__name__}")
+
+
 def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) -> FilterModel:
     """Check that the weights and the capacity fit the array and set the
     drop per weight unit.
@@ -74,6 +79,7 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
     matchline that a weight of capacity + 1 leaves at the same float64 value
     would tie with that over-weight input and raises ConfigurationError.
     """
+    _check_config(config)
     w = _as_int_array(weights, "weights")
     if w.ndim != 1:
         raise ValidationError("weights", f"expected a vector, got shape {w.shape}")
@@ -111,6 +117,7 @@ def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
     conduction event drops unit_drop * (1 + eta) with eta ~ N(0, noise_sigma);
     the number of events equals the selected weight sum wsum, so the events'
     perturbations add up to one Gaussian draw scaled by noise_sigma * sqrt(wsum).
+    A noisy drop past the float64 range raises CapacityError.
     """
     sigma = model.config.noise_sigma
     wsum = int(model.weights @ as_bits(x, model.weights.shape[0]))
@@ -118,6 +125,9 @@ def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
     if sigma > 0 and wsum > 0:
         eta = _as_rng(rng).standard_normal() * sigma * math.sqrt(wsum)
         drop += model.unit_drop * float(eta)
+        if not math.isfinite(drop):
+            raise CapacityError(f"noisy matchline drop {drop} at noise_sigma {sigma} "
+                                "is not a finite float64")
     working = max(0.0, VDD - drop)
     return FilterDecision(working_ml=working, replica_ml=model.replica_ml,
                           feasible=bool(working >= model.replica_ml))

@@ -37,9 +37,13 @@ _SPARSE_THRESHOLD = 0.25
 
 
 def _exact_sum(a: np.ndarray) -> int:
-    """Sum of a uint64 array as a Python int: the 32-bit halves of each entry
-    are summed separately, so neither uint64 sum can wrap below 2^32 entries."""
-    return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
+    """Sum of a uint64 array as a Python int, shifting the array right by 32
+    in place.  The sum of the high halves cannot wrap below 2^32 entries, nor
+    can the sum of the low halves, which the wrapped whole sum gives mod 2^64."""
+    wrapped = int(a.sum())
+    a >>= 32
+    high = int(a.sum()) << 32
+    return high + (wrapped - high) % (1 << 64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +82,10 @@ class QuboMatrix:
 
 @dataclass(frozen=True, eq=False)
 class InequalityQuboModel:
-    """Profit matrix negated into a QUBO, constraint handled by the filter."""
+    """Profit matrix negated into a QUBO, constraint handled by the filter.
+
+    qubo is build_inequality_qubo(instance).qubo; the exact annealer couples
+    its fields through _profit_fold(instance) instead."""
 
     qubo: QuboMatrix
     instance: QkpInstance
@@ -112,7 +119,7 @@ def _penalty_bound(instance: QkpInstance, alpha: int, beta: int) -> int:
     and alpha (sum y_k - 1)^2, offset included, sum to at most
     sum |p_ij| + beta (sum w + C (C + 1) / 2)^2 + alpha (C^2 + 1)."""
     C = instance.capacity
-    return (_exact_sum(instance.profits.view(np.uint64))
+    return (_exact_sum(instance.profits.astype(np.uint64))
             + beta * (instance.total_weight + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
 
 

@@ -153,6 +153,21 @@ def ref_dqubo_energy(profits, weights, capacity, x, y, alpha, beta):
     return -obj + alpha * (ysum - 1) ** 2 + beta * (wsum - ksum) ** 2
 
 
+def ref_energy_bound(q, offset):
+    """sum_ij |q_ij| + |offset| in Python ints."""
+    return sum(abs(v) for row in q for v in row) + abs(offset)
+
+
+def ref_flip_scale(q):
+    """flip_scale as first written, with two matrix-sized temporaries: the
+    float64 column sums of |Q + Q^T| off the diagonal, averaged, plus the
+    mean |Q_jj|.  Float rounding depends on the summation order, so the
+    reference keeps that formula rather than a plain loop."""
+    paired = np.abs(q + q.T).astype(np.float64)
+    np.fill_diagonal(paired, 0.0)
+    return float(paired.sum(axis=0).mean() + np.abs(np.diagonal(q)).mean())
+
+
 def ref_enumerate(profits, weights, capacity):
     """Brute-force oracle: (best_value, best_config, feasible_count), LSB-first ties."""
     n = len(weights)

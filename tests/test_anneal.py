@@ -9,6 +9,7 @@ import pytest
 
 from cimqubo import (
     AnnealSchedule,
+    CapacityError,
     ConfigurationError,
     FilterConfig,
     ValidationError,
@@ -437,6 +438,59 @@ def test_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_flip_scale_and_energy_bound_keep_one_matrix_sized_temporary():
+    # capacity 1922: the penalty matrix takes 28.8 MiB, two temporaries would reach 57.5
+    inst = generate_instance(20, seed=1, density=0.5, wmax=200, pmax=50, cap_ratio=1.0)
+    problem = build_dqubo(inst)
+    size = problem.qubo.q.nbytes
+    assert inst.capacity == 1922 and size > 28 * 2**20
+    for measure in (lambda: flip_scale(problem), problem.qubo.energy_bound):
+        tracemalloc.start()
+        try:
+            measure()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * size
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_noisy_read_past_float64_raises():
+    # readings of +-inf would give NaN energy changes and a best energy of -inf
+    problem = build_inequality_qubo(generate_instance(3, seed=1))
+    with pytest.raises(CapacityError, match="not a finite float64"):
+        sa_run(problem, "behavioral-cim", AnnealSchedule(50, 4.0, 1.0), [0, 1, 0], 1,
+               crossbar_noise_sigma=1.7e308)
+
+
+@pytest.mark.parametrize("call", [flip_scale, default_schedule,
+                                  lambda inst: sa_run(inst, initial=[0, 0, 0])])
+def test_an_instance_is_not_a_problem_to_anneal(tiny, call):
+    with pytest.raises(ConfigurationError, match="cannot anneal a QkpInstance"):
+        call(tiny)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: batch_solve(inst, "hycim", 2, 1, short(), "behavioral-cim", filter_config=5),
+    lambda inst: batch_solve(inst, "hycim", 2, 1, short(), "behavioral-cim", filter_config=5,
+                             jobs=2),
+    lambda inst: batch_solve(inst, "dqubo", 2, 1, short(), "behavioral-cim", filter_config=5,
+                             jobs=2),
+    lambda inst: sa_run(build_inequality_qubo(inst), "behavioral-cim", short(), [0, 0, 0],
+                        filter_config=5),
+    lambda inst: sa_run(build_dqubo(inst), "behavioral-cim", short(), [0] * 12,
+                        filter_config="noisy"),
+    lambda inst: sa_run(build_inequality_qubo(inst), "exact-software", short(), [0, 0, 0],
+                        filter_config=5),
+])
+def test_filter_config_must_be_a_filter_config(tiny, monkeypatch, call):
+    # an error raised in a worker pickles back as itself, so refuse to start one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    with pytest.raises(ValidationError) as refused:
+        call(tiny)
+    assert refused.value.field == "filter_config"
 
 
 def test_energy_bound_guard():

@@ -209,6 +209,15 @@ def test_solve_t_start_alone_keeps_the_default_cooling_ratio(tiny_path):
     assert schedule.t_end / schedule.t_start == default.t_end / default.t_start
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_solve_names_a_bad_t_start(tiny_path, capsys, value):
+    # without --t-end, t_end derives from t_start, which is checked first
+    assert main(["solve", tiny_path, f"--t-start={value}", "--initials", "1", "--runs", "1",
+                 "--iters", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "error: t_start: must be a number" in err and "error: t_end" not in err
+
+
 def library_default(fn, name):
     return inspect.signature(fn).parameters[name].default
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cimqubo import (
+    CapacityError,
     QuboMatrix,
     ValidationError,
     program_crossbar,
@@ -197,3 +198,16 @@ def test_noisy_read_variance_follows_plane_weights():
     assert abs(errors.mean()) < 4 * np.sqrt(want / 4000)
     # the sample variance of 4000 normal draws is within 10 % with overwhelming odds
     assert errors.var() == pytest.approx(want, rel=0.1)
+
+
+def test_a_noisy_read_past_float64_raises():
+    model = program_crossbar(q2(), noise_sigma=1.7e308)
+    rng = np.random.default_rng(3)
+    raised = 0
+    for _ in range(20):
+        try:
+            assert math.isfinite(vmv_energy(model, [1, 1], rng).value)
+        except CapacityError as exc:
+            assert "not a finite float64" in str(exc)
+            raised += 1
+    assert raised

@@ -227,3 +227,23 @@ def test_filter_config_validation():
 def test_capacity_must_fit_replica():
     with pytest.raises(CapacityError):
         build_filter([1, 1], 200)   # two columns hold at most 128
+
+
+def test_a_noisy_drop_past_float64_raises():
+    model = build_filter([4, 7, 2], 9, FilterConfig(noise_sigma=1.7e308))
+    rng = np.random.default_rng(0)
+    raised = 0
+    for _ in range(20):
+        try:
+            assert math.isfinite(filter_check(model, [1, 1, 1], rng).working_ml)
+        except CapacityError as exc:
+            assert "not a finite float64" in str(exc)
+            raised += 1
+    assert raised
+
+
+@pytest.mark.parametrize("config", [5, None, {"rows": 16}])
+def test_build_filter_refuses_a_config_that_is_not_a_filter_config(config):
+    with pytest.raises(ValidationError) as refused:
+        build_filter([4, 7, 2], 9, config)
+    assert refused.value.field == "config"

@@ -25,6 +25,7 @@ from cimqubo import (
     CimQuboError,
     ConfigurationError,
     FilterConfig,
+    InequalityQuboModel,
     QkpInstance,
     QuboMatrix,
     ValidationError,
@@ -39,6 +40,7 @@ from cimqubo import (
     filter_check,
     filter_study,
     filter_suite,
+    flip_scale,
     generate_instance,
     load_qubo_json,
     parse_instance,
@@ -56,8 +58,10 @@ from cimqubo.transform import _penalty_bound, _penalty_flip_terms
 from conftest import (
     make_instance,
     ref_anneal,
+    ref_energy_bound,
     ref_enumerate,
     ref_filter_check,
+    ref_flip_scale,
     ref_initials,
     ref_int_setting,
     ref_plane_counts,
@@ -268,6 +272,21 @@ def test_factored_flip_change_equals_the_matrix_energy_change(inst, alpha, beta,
     assert fields(y)[1] == [f + delta * c for f, c in zip(field, coupling[col])]
     held = field + [2 * beta * s, slopes[j] * 2 * beta * s, inner, change, energy, costs[j]]
     assert max(map(abs, held)) <= bound and model.qubo.energy_bound() <= bound
+
+
+INT64_EDGES = [-(2**63), -(2**63) + 1, -(2**62), -1, 0, 1, 2**62, 2**63 - 1]
+INT64S = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES))
+
+
+@common
+@given(dim=st.integers(1, 12), data=st.data(), offset=INT64S)
+def test_one_temporary_flip_scale_and_energy_bound_equal_the_earlier_formulas(dim, data, offset):
+    q = np.array(data.draw(st.lists(INT64S, min_size=dim * dim, max_size=dim * dim)),
+                 dtype=np.int64).reshape(dim, dim)
+    qubo = QuboMatrix(q, offset)
+    assert qubo.energy_bound() == ref_energy_bound(q.tolist(), offset)
+    # flip_scale reads only the matrix; q + q^T wraps in both formulas alike
+    assert flip_scale(InequalityQuboModel(qubo=qubo, instance=None)) == ref_flip_scale(q)
 
 
 SIGNS = {"mixed": (-1, 1), "positive": (0, 1), "negative": (-1, 0), "zero": (0, 0)}
