@@ -188,7 +188,7 @@ def _penalty_matrix(instance: QkpInstance, alpha: int, beta: int, dtype=np.int64
 def build_dqubo(
     instance: QkpInstance, alpha: int = DEFAULT_PENALTY, beta: int = DEFAULT_PENALTY
 ) -> DQuboModel:
-    """_penalty_matrix, with the one-hot square's constant alpha as offset."""
+    """Expand the penalty objective into an (n + C)-bit matrix with offset alpha."""
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
     C = instance.capacity
     dim = instance.n + C

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cimqubo import InequalityQuboModel, QkpInstance
+from cimqubo import InequalityQuboModel, QkpInstance, generate_instance
 from cimqubo.filter_sim import VDD
 
 
@@ -246,6 +246,10 @@ def make_instance(profits, weights, capacity, name="test"):
         weights=np.asarray(weights, dtype=np.int64),
         capacity=capacity,
     )
+
+
+def criterion7_instance(seed=1):
+    return generate_instance(20, density=0.5, wmax=20, pmax=50, cap_ratio=0.5, seed=seed)
 
 
 def hundred_items(capacity, weight):

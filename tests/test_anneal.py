@@ -25,6 +25,7 @@ from cimqubo import (
 from cimqubo import anneal
 
 from conftest import (
+    criterion7_instance,
     make_instance,
     ref_anneal,
     ref_constrained_energy,
@@ -403,10 +404,6 @@ REFERENCE_DIGESTS = {
     "hycim": "fa1c09579540bf6651272e18ebfa0bff744f629735a463607b8b972ceb269829",
     "dqubo": "df13bc963793575c8e67d8c54b49c893abed20eeac2747a535417b05cf5a43b9",
 }
-
-
-def criterion7_instance(seed=1):
-    return generate_instance(20, density=0.5, wmax=20, pmax=50, cap_ratio=0.5, seed=seed)
 
 
 @pytest.mark.parametrize("mode", ["hycim", "dqubo"])

@@ -22,8 +22,8 @@ from cimqubo import (
     quantization_info,
 )
 
-from conftest import (hundred_items, make_instance, ref_constrained_energy, ref_dqubo_energy,
-                      ref_objective)
+from conftest import (criterion7_instance, hundred_items, make_instance, ref_constrained_energy,
+                      ref_dqubo_energy, ref_objective)
 
 
 # ------------------------------------------------------- inequality mode
@@ -156,10 +156,6 @@ def test_default_penalty_ground_state_is_over_weight():
     assert brute_force_oracle(inst).best_value == 80
 
 
-def criterion7(seed):
-    return generate_instance(20, density=0.5, wmax=20, pmax=50, cap_ratio=0.5, seed=seed)
-
-
 # sha256 of the int64 matrix bytes, and the offset: every coefficient of the
 # criterion 2-4 instances and of three annealing instances, as first built
 PENALTY_MATRIX_PINS = [
@@ -167,14 +163,14 @@ PENALTY_MATRIX_PINS = [
      "384a513492481a3ce1b18a40dfc9ab7da998960e55d327bc6af6eaab5d8266c0", 2),
     (lambda: hundred_items(2536, 64), 2, 2,
      "0bda4fd6931b0e6da903280778cf0397cbed140c0fa0580a3313a092d18e949e", 2),
-    (lambda: criterion7(1), 2, 2,
+    (lambda: criterion7_instance(1), 2, 2,
      "d324662aa8ea6e8e32423e8b190162e621ac435f742c0dd05fd4d1635405d819", 2),
-    (lambda: criterion7(2), 2, 2,
+    (lambda: criterion7_instance(2), 2, 2,
      "4c71b6f3c14157684fb1846d980127d539a3e7a35650ecfcd578f5f914b2a547", 2),
-    (lambda: criterion7(3), 2, 2,
+    (lambda: criterion7_instance(3), 2, 2,
      "186ae4805c810fdf98451f21e65569cf00b58c5350a4d4b7dec5e7b0467102b7", 2),
     # alpha != beta, so swapped penalty weights show
-    (lambda: criterion7(3), 7, 3,
+    (lambda: criterion7_instance(3), 7, 3,
      "75fe8b7658c28360f572887f8a5fdf2c408f0a83a16a19c0e69fd113f7488106", 7),
 ]
 
