@@ -16,6 +16,14 @@ updates energies through local fields, "behavioral-cim" makes one filter check
 and one crossbar read per run and proposal with that run's own generator.
 With noise disabled the two backends return identical records.
 
+A run's seed and generator are numpy's: run (i, r) of a batch has seed
+SeedSequence(master_seed, spawn_key=(1, i, r)).generate_state(1, uint64) and
+draws from default_rng(seed).  Neither is called per run.  _run_seeds and
+_generator_states derive every run seed and PCG64 (state, inc) of a block in
+one vectorized pass over the fixed SeedSequence hash rounds and the PCG64
+seeding steps, and the property tests check both against numpy.  numpy makes
+every draw, from one generator that takes each run's state in turn.
+
 In hycim mode the exact fields are the n item fields of x^T q x, coupled by
 transform._profit_fold.  In dqubo mode the exact loop never reads the
 (n + C)^2 matrix: it anneals the factored penalty of
@@ -43,13 +51,15 @@ dE < ceil(T g), so lane thresholds are ceil(T g) in [1, energy_bound() + 1].
 """
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .crossbar_sim import program_crossbar, vmv_energy
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, _check_config, build_filter, filter_check
 from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float, _as_int,
                   _fields_equal, as_bits)
@@ -76,6 +86,84 @@ _DRAW_CHUNK = 64  # runs whose float64 gate draws are scaled together, 512 KiB a
 COOLING_RATIO = 0.5
 # annealing steps per run unless a schedule or caller says otherwise
 DEFAULT_ITERATIONS = 1000
+
+
+# numpy's SeedSequence (NEP 19 keeps its output stable) mixes a 4-word uint32
+# pool with these hash constants; PCG64 steps its 128-bit LCG by _PCG_MULT.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pair of each use of a hash constant: it is XORed
+    in, multiplied by mult, and the product multiplies the value."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _MASK32)
+    return list(zip(values, values[1:]))
+
+
+# the sequences do not depend on the data: 4 pool words, 12 cross mixes and 4
+# mixes per spawn-key word, then 8 output words (4 uint64) per generator state
+_HASHMIX = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * 3)
+_OUTPUT = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _seed_words(entropy, n_words: int) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(n_words, uint64), one uint64 array
+    per word, for uint32 entropy words (arrays that broadcast together, at
+    least 4 of them: a seed's words zero-padded to 4, then any spawn key)."""
+    consts = iter(_HASHMIX)
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    halves = []
+    for k, (xor, mult) in enumerate(_OUTPUT[: 2 * n_words]):
+        value = (pool[k % 4] ^ xor) * mult
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    return [lo | (hi << 32) for lo, hi in zip(halves[::2], halves[1::2])]
+
+
+def _run_seeds(master_seed: int, initial_index, run_index) -> np.ndarray:
+    """uint64 seed of each run (i, r), equal to
+    SeedSequence(master_seed, spawn_key=(1, i, r)).generate_state(1, uint64).
+    Indices are below 2^32, where each is one spawn-key word."""
+    initial = np.array(initial_index, dtype=np.uint32, ndmin=1)
+    run = np.array(run_index, dtype=np.uint32, ndmin=1)
+    master = [np.array([word], dtype=np.uint32)
+              for word in (master_seed & _MASK32, master_seed >> 32, 0, 0, 1)]
+    return _seed_words(master + [initial, run], 1)[0]
+
+
+def _generator_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of default_rng(seed) for each uint64 seed: a 256-bit
+    SeedSequence output read as (state, sequence), then two LCG steps from 0."""
+    lo = (seeds & _MASK32).astype(np.uint32)
+    zero = np.zeros_like(lo)  # a seed with no spawn key is not padded, but a missing word hashes as 0
+    words = [w.tolist() for w in _seed_words([lo, (seeds >> 32).astype(np.uint32), zero, zero], 4)]
+    states = []
+    for hi_state, lo_state, hi_seq, lo_seq in zip(*words):
+        inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
+        states.append(((((hi_state << 64 | lo_state) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
 
 
 @dataclass(frozen=True)
@@ -233,12 +321,19 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     flips = np.empty((iters, runs), dtype=np.min_scalar_type(ctx.dim - 1))
     thresholds = np.empty((iters, runs), dtype=ctx.energy_dtype)
     draws = np.empty((min(runs, _DRAW_CHUNK), iters))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    states = _generator_states(np.array(seeds, dtype=np.uint64))
+    bits = np.random.PCG64()  # every run sets its own state before it draws
+    gen = np.random.Generator(bits)
+    rngs = []  # behavioral runs go on drawing noise, each from its own stream
     for start in range(0, runs, len(draws)):
         chunk = draws[: min(runs - start, len(draws))]
-        for r, rng in enumerate(rngs[start:start + len(chunk)], start):
-            flips[:, r] = rng.integers(0, ctx.dim, size=iters)
-            rng.random(out=chunk[r - start])
+        for r, (state, inc) in enumerate(states[start:start + len(chunk)], start):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            flips[:, r] = gen.integers(0, ctx.dim, size=iters)
+            gen.random(out=chunk[r - start])
+            if not exact:
+                rngs.append(np.random.Generator(copy.copy(bits)))
         # Metropolis thresholds: accept dE > 0 iff dE < T * g with g = -log u
         np.log(chunk, out=chunk)
         chunk *= -ctx.temps
@@ -251,7 +346,6 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     base = np.arange(runs) * ctx.dim  # flat offset of each run's row
     wsum = x @ ctx.weights
     if exact:
-        del rngs  # 1.5 KiB per run; only the behavioral backend draws from them again
         # hycim fields cover the bits; dqubo fields cover the items and the slack count
         z = x if hycim else np.column_stack([x[:, :n], x[:, n:].sum(axis=1)])
         field = np.matmul(z, ctx.coupling, dtype=np.int64) + ctx.diag
@@ -344,7 +438,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     profit = np.einsum("ri,ij,rj->r", xs, ctx.instance.profits, xs)
     values = np.where(xs @ ctx.instance.weights <= cap, profit, 0).tolist()
     # records share equal counts, ints and configurations, as a study keeps thousands
-    counts = list(range(iters + 1))
+    counts = _counts(iters)
     energies = best_e.tolist()
     shared = [{v: v for v in column} for column in (energies, values)]
     _, first, which = np.unique(best_x.view(np.dtype((np.void, ctx.dim))).reshape(-1),
@@ -394,8 +488,20 @@ def sa_run(
 
 
 def _derived_seed(master_seed: int, initial_index: int, run_index: int) -> int:
-    ss = np.random.SeedSequence(master_seed, spawn_key=(1, initial_index, run_index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_run_seeds(master_seed, initial_index, run_index)[0])
+
+
+@functools.lru_cache(maxsize=1)  # a study's two modes share one table, and records keep its ints
+def _seed_table(master_seed: int, lo: int, hi: int, runs_per_initial: int) -> tuple[int, ...]:
+    """Seeds of runs (i, r) for lo <= i < hi and r < runs_per_initial, in that order."""
+    initial = np.repeat(np.arange(lo, hi), runs_per_initial)
+    run = np.tile(np.arange(runs_per_initial), hi - lo)
+    return tuple(_run_seeds(master_seed, initial, run).tolist())
+
+
+@functools.lru_cache(maxsize=1)  # every batch of one iteration count shares its count ints
+def _counts(iterations: int) -> tuple[int, ...]:
+    return tuple(range(iterations + 1))
 
 
 def _draw_initials(master_seed: int, num_initials: int, dim: int) -> np.ndarray:
@@ -420,13 +526,13 @@ def _batch_worker(payload):
         schedule = default_schedule(problem)
     ctx = _Context(problem, backend, schedule, filter_config, crossbar_noise_sigma)
     initials = _draw_initials(master_seed, num_initials, ctx.dim)
-    keys = [(i, r) for i in range(lo, hi) for r in range(runs_per_initial)]
+    seeds = _seed_table(master_seed, lo, hi, runs_per_initial)
     block = max(1, _BLOCK_DRAWS // ctx.iterations)
     out = []
-    for start in range(0, len(keys), block):
-        chunk = keys[start:start + block]
-        out += _anneal(ctx, [initials[i] for i, _ in chunk],
-                       [_derived_seed(master_seed, i, r) for i, r in chunk])
+    for start in range(0, len(seeds), block):
+        stop = min(start + block, len(seeds))
+        out += _anneal(ctx, initials[lo + np.arange(start, stop) // runs_per_initial],
+                       seeds[start:stop])
     return out
 
 
@@ -451,6 +557,8 @@ def batch_solve(
     results do not depend on execution order, on lockstep blocking or on the
     jobs worker count.  Records are ordered by (initial_index, run_index).
     """
+    if not isinstance(instance, QkpInstance):
+        raise ValidationError("instance", f"must be a QkpInstance, got {type(instance).__name__}")
     num_initials = _as_int(num_initials, "num_initials", 1)
     runs_per_initial = _as_int(runs_per_initial, "runs_per_initial", 1)
     master_seed = _as_int(master_seed, "master_seed", 0, _SEED_LIMIT)

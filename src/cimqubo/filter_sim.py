@@ -166,12 +166,16 @@ def sample_balanced_configs(
             if key in seen:
                 continue
             if wsum <= capacity:
-                if len(feas) < num_feasible:
-                    seen.add(key)
-                    feas.append(row)
+                if len(feas) == num_feasible:
+                    continue
+                feas.append(row)
             elif len(infeas) < num_infeasible:
-                seen.add(key)
                 infeas.append(row)
+            else:
+                continue
+            seen.add(key)
+            if len(feas) == num_feasible and len(infeas) == num_infeasible:
+                break  # the rest of the batch would be neither kept nor seen
     if len(feas) < num_feasible or len(infeas) < num_infeasible:
         raise SamplingError(
             f"found {len(feas)}/{num_feasible} feasible and {len(infeas)}/{num_infeasible} "

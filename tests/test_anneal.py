@@ -358,6 +358,10 @@ def test_records_share_read_only_configurations_and_ints():
     configs = [rec.best_config for rec in records]
     assert len({id(c) for c in configs}) == len({c.tobytes() for c in configs}) < len(configs)
     assert not any(c.flags.writeable for c in configs)
+    # batches of one iteration count share their count ints: every dqubo run evaluates all 400
+    evaluations = [rec.evaluations for seed in (4, 5)
+                   for rec in batch_solve(inst, "dqubo", 2, 2, schedule=short(iters=400), master_seed=seed)]
+    assert evaluations == [400] * 8 and len({id(v) for v in evaluations}) == 1
     # records from worker processes come back unpickled, and are frozen again
     parallel = batch_solve(inst, "hycim", 10, 10, schedule=short(iters=400, t=50.0), master_seed=2,
                            jobs=2)
@@ -488,6 +492,14 @@ def test_filter_config_must_be_a_filter_config(tiny, monkeypatch, call):
     with pytest.raises(ValidationError) as refused:
         call(tiny)
     assert refused.value.field == "filter_config"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_refuses_a_problem_as_its_instance(tiny, monkeypatch, jobs):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    with pytest.raises(ValidationError, match="must be a QkpInstance, got DQuboModel") as refused:
+        batch_solve(build_dqubo(tiny), "dqubo", 2, 1, jobs=jobs)
+    assert refused.value.field == "instance"
 
 
 def test_energy_bound_guard():

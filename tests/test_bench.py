@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from cimqubo import (
     write_report_json,
     write_success_csv,
 )
+from cimqubo import anneal, bench
 
-from conftest import make_instance
+from conftest import criterion7_instance, make_instance
 
 
 def scale_instance(capacity, weight):
@@ -125,6 +127,34 @@ def test_success_study_parallel_matches_serial(tiny):
     a = success_rate_study(tiny, 4, 2, master_seed=3, iterations=300, jobs=1)
     b = success_rate_study(tiny, 4, 2, master_seed=3, iterations=300, jobs=2)
     assert a == b
+
+
+def test_success_study_modes_share_their_seed_ints(monkeypatch):
+    # both batches of a study derive the same run seeds; kept records hold them once
+    batches = []
+
+    def tap(*args, **kwargs):
+        batches.append(anneal.batch_solve(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(bench, "batch_solve", tap)
+    inst = criterion7_instance()
+    success_rate_study(inst, 2, 2, iterations=400)  # warm-up: the oracle and lazy imports
+    batches.clear()
+    anneal._seed_table.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        success_rate_study(inst, 50, 10, master_seed=2**64 - 1, iterations=400)
+        anneal._seed_table.cache_clear()
+        anneal._counts.cache_clear()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    hycim, dqubo = batches
+    assert all(h.seed is d.seed for h, d in zip(hycim, dqubo, strict=True))
+    # 2 x 500 records kept 324 KiB with shared ints and 343 KiB with an int per record
+    assert kept < 334 * 2**10
 
 
 def test_success_study_needs_optimum_for_large_instances():

@@ -1,5 +1,6 @@
 """Array geometry checks, matchline voltages, replica comparison, feasibility decisions."""
 
+import hashlib
 import itertools
 import math
 
@@ -19,7 +20,7 @@ from cimqubo import (
 )
 from cimqubo.filter_sim import VDD
 
-from conftest import make_instance
+from conftest import criterion7_instance, make_instance
 
 
 # ------------------------------------------------------- array geometry
@@ -201,6 +202,39 @@ def test_sample_balanced_unique_and_deterministic(tiny):
     assert np.array_equal(a, b)
     rows = {row.tobytes() for row in a}
     assert len(rows) == 5
+
+
+# (weights, capacity, num_feasible, num_infeasible, seed) -> sha256 of the shape,
+# configuration bytes and label bytes; the n = 3 cases draw many duplicates
+BALANCED_DIGESTS = [
+    (([4, 7, 2], 9, 3, 2, 1), "dadd649e1bf198d3204ba86a6cbb5ba778022fade6ec58428e81f576723ddcfe"),
+    (([4, 7, 2], 9, 6, 2, 5), "628bbf7e00ec0568dc9c9faf914418e98a9a98905159b235bd88feeb848436df"),
+    (("c7-1", 20, 20, 3), "6d8585cd28e544d99b3e4d3675cbb4ff49a1c57beab1c8ab736a893e3b17b6a1"),
+    (("c7-2", 300, 200, 2**64 - 1), "2903424b0520fef5433753a86948e4ecde7e8e19f9766db2f916c7d8e355d91b"),
+    (("n100", 22, 22, 9), "25b2a4f4c8747740e8d2d50ce9483dd0462019e776016d9e70a1b53b7f728403"),
+]
+
+
+@pytest.mark.parametrize("case, digest", BALANCED_DIGESTS)
+def test_sample_balanced_configs_are_pinned(case, digest):
+    if isinstance(case[0], str):
+        name, *counts = case
+        inst = {"c7-1": criterion7_instance(1), "c7-2": criterion7_instance(2),
+                "n100": generate_instance(100, seed=4)}[name]
+        case = (inst.weights, inst.capacity, *counts)
+    *args, seed = case
+    configs, labels = sample_balanced_configs(*args, seed=seed)
+    h = hashlib.sha256(repr(configs.shape).encode())
+    h.update(configs.tobytes())
+    h.update(labels.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_sample_balanced_shortfall_counts_are_pinned():
+    # tiny has 6 feasible and 2 infeasible configurations; the budget runs out on the third
+    with pytest.raises(SamplingError, match="found 6/6 feasible and 2/3 infeasible") as err:
+        sample_balanced_configs([4, 7, 2], 9, 6, 3, seed=2)
+    assert (err.value.feasible_found, err.value.infeasible_found) == (6, 2)
 
 
 def test_sample_balanced_reports_shortfall():

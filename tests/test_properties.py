@@ -1,4 +1,5 @@
-"""Property tests of the lockstep annealer, the penalty coefficient
+"""Property tests of the lockstep annealer, its vectorized run seeding
+against numpy's SeedSequence and PCG64, the penalty coefficient
 formulas and their soundness, the packed crossbar read, the filter's verdicts,
 matchline replay and array budgets, the QUBO file round trip, the instance
 file round trip, the exhaustive oracle on random instances and matrices, the
@@ -147,6 +148,35 @@ def assert_replays(problem, backend, schedule, initial, seed):
     assert rec.trajectory == ref["trajectory"]
     for name in ("best_energy", "best_qkp_value", "evaluations", "filter_rejections"):
         assert getattr(rec, name) == ref[name], name
+
+
+KERNEL_PROBLEM = build_inequality_qubo(make_instance([[5, 2, 0], [2, 3, 1], [0, 1, 4]], [4, 7, 2], 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(master=st.integers(0, 2**64 - 1),
+       keys=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+                     min_size=1, max_size=6),
+       seed=st.integers(0, 2**64 - 1))
+@example(master=0, keys=[(0, 0)], seed=0)
+@example(master=1, keys=[(1, 0), (0, 1)], seed=1)
+@example(master=2**32 - 1, keys=[(2**32 - 1, 2**32 - 1)], seed=2**32 - 1)
+@example(master=2**32, keys=[(0, 2**32 - 1)], seed=2**32)
+@example(master=2**63, keys=[(2**31, 2**31)], seed=2**63)
+@example(master=2**64 - 1, keys=[(2**32 - 1, 0)], seed=2**64 - 1)
+def test_seed_kernel_equals_numpy_seeding(master, keys, seed):
+    initial, run = zip(*keys)
+    seeds = anneal._run_seeds(master, list(initial), list(run)).tolist()
+    assert seeds == [ref_run_seed(master, i, r) for i, r in keys]
+    assert anneal._derived_seed(master, *keys[0]) == seeds[0]
+    seeds.append(seed)
+    states = anneal._generator_states(np.array(seeds, dtype=np.uint64))
+    for s, (state, inc) in zip(seeds, states, strict=True):
+        assert np.random.default_rng(s).bit_generator.state == {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+    for s in (seeds[0], seed):
+        assert_replays(KERNEL_PROBLEM, "exact-software", SCHEDULE, [1, 0, 1], s)
 
 
 INT32_MAX = 2**31 - 1
