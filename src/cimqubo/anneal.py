@@ -23,14 +23,16 @@ _generator_states derive every run seed and PCG64 (state, inc) of a block in
 one vectorized pass over the fixed SeedSequence hash rounds and the PCG64
 seeding steps, and the property tests check both against numpy.  numpy makes
 every draw, from one generator that takes each run's state in turn.
+_run_seeds is the (1, i, r) case of _spawn_seeds, which bench.filter_suite
+also calls with the one-word keys (k,) of its instances.
 
-In hycim mode the exact fields are the n item fields of x^T q x, coupled by
-transform._profit_fold.  In dqubo mode the exact loop never reads the
-(n + C)^2 matrix: it anneals the factored penalty of
-transform._penalty_flip_terms, keeping per run n + 1 fields (the profit
-fields and 2 alpha (sum y - 1)) and 2 beta s, so per-iteration work and kept
-memory do not grow with C.  The full matrix is read once per batch, by
-energy_bound() and, without a given schedule, flip_scale().
+The exact backend never expands a model's matrix.  In hycim mode its fields
+are the n item fields of x^T q x, coupled by transform._profit_fold.  In dqubo
+mode it anneals the factored penalty of transform._penalty_flip_terms, keeping
+per run n + 1 fields (the profit fields and 2 alpha (sum y - 1)) and 2 beta s,
+so per-iteration work and kept memory do not grow with C.  flip_scale and the
+bound below come from transform._flip_magnitudes, which sums the magnitudes
+of the matrix's coefficients from the same folds.
 
 Proposals flip one uniformly chosen bit.  A proposal is accepted when its
 energy change dE satisfies dE <= 0, otherwise with probability exp(-dE / T)
@@ -42,12 +44,12 @@ accepted, over-weight proposals are filter-rejected outright and the walk
 never leaves the feasible region.
 
 Energies, fields and thresholds share one lane per context, chosen from a
-bound on everything the loop holds: energy_bound(), or for factored dqubo
-twice the term-by-term bound build_dqubo guards below 2^63.
+bound on everything the loop holds: the matrix's sum |q_ij| + |offset|, or for
+factored dqubo twice the term-by-term bound DQuboModel guards below 2^63.
 The lane is int32 when that bound + 1 fits, else int64, and float64 under
 crossbar read noise.  Fields start as one int64 product of the configurations
 with the coupling, exact below the 2^63 lane guard.  An integer dE < T g iff
-dE < ceil(T g), so lane thresholds are ceil(T g) in [1, energy_bound() + 1].
+dE < ceil(T g), so lane thresholds are ceil(T g) in [1, sum |q_ij| + |offset| + 1].
 """
 from __future__ import annotations
 
@@ -59,14 +61,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar_sim import program_crossbar, vmv_energy
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError
 from .filter_sim import FilterConfig, _check_config, build_filter, filter_check
-from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float, _as_int,
-                  _fields_equal, as_bits)
+from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float,
+                  _as_instance, _as_int, _fields_equal, as_bits)
 from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
     InequalityQuboModel,
+    _flip_magnitudes,
     _penalty_bound,
     _penalty_flip_terms,
     _profit_fold,
@@ -142,15 +145,18 @@ def _seed_words(entropy, n_words: int) -> list[np.ndarray]:
     return [lo | (hi << 32) for lo, hi in zip(halves[::2], halves[1::2])]
 
 
+def _spawn_seeds(master_seed: int, *key) -> np.ndarray:
+    """uint64 seed of each spawn key, equal to
+    SeedSequence(master_seed, spawn_key=key).generate_state(1, uint64).  The
+    key has at most three words, scalars or arrays that broadcast together,
+    each below 2^32, where it is one spawn-key word."""
+    words = (master_seed & _MASK32, master_seed >> 32, 0, 0, *key)
+    return _seed_words([np.array(word, dtype=np.uint32, ndmin=1) for word in words], 1)[0]
+
+
 def _run_seeds(master_seed: int, initial_index, run_index) -> np.ndarray:
-    """uint64 seed of each run (i, r), equal to
-    SeedSequence(master_seed, spawn_key=(1, i, r)).generate_state(1, uint64).
-    Indices are below 2^32, where each is one spawn-key word."""
-    initial = np.array(initial_index, dtype=np.uint32, ndmin=1)
-    run = np.array(run_index, dtype=np.uint32, ndmin=1)
-    master = [np.array([word], dtype=np.uint32)
-              for word in (master_seed & _MASK32, master_seed >> 32, 0, 0, 1)]
-    return _seed_words(master + [initial, run], 1)[0]
+    """uint64 seed of each run (i, r): the seed of spawn key (1, i, r)."""
+    return _spawn_seeds(master_seed, 1, initial_index, run_index)
 
 
 def _generator_states(seeds: np.ndarray) -> list[tuple[int, int]]:
@@ -198,13 +204,8 @@ def flip_scale(problem: InequalityQuboModel | DQuboModel) -> float:
     """Mean magnitude scale of a single-bit flip: flipping bit j changes the
     energy by at most sum_i |(Q + Q^T)_ij| + |Q_jj|, averaged over j."""
     _mode_of(problem)
-    q = problem.qubo.q
-    if not q.size:
-        return 0.0
-    paired = q + q.T
-    np.abs(paired, out=paired)
-    np.fill_diagonal(paired, 0)
-    return float(paired.sum(axis=0, dtype=np.float64).mean() + np.abs(np.diagonal(q)).mean())
+    cols, diag, _ = _flip_magnitudes(problem)
+    return float(cols.mean() + diag.mean())
 
 
 def default_schedule(
@@ -248,8 +249,7 @@ class _Context:
             _check_config(filter_config, "filter_config")
             if backend != BACKEND_CIM:
                 raise ConfigurationError("filter_config needs the behavioral-cim backend")
-        qubo = problem.qubo
-        bound = qubo.energy_bound()
+        bound = _flip_magnitudes(problem)[2]
         # the thresholds ceil(T g) are exact only for integers up to 2^53
         if bound > _FLOAT_EXACT:
             raise ConfigurationError(
@@ -257,8 +257,8 @@ class _Context:
             )
         self.backend = backend
         self.instance = problem.instance
-        self.qubo = qubo
-        self.dim = qubo.dim
+        self.dim = problem.dim
+        self.offset = problem.alpha if self.mode == MODE_DQUBO else 0
         self.weights = np.zeros(self.dim, dtype=np.int64)  # slack bits weigh nothing
         self.weights[: self.instance.n] = self.instance.weights
         self.iterations = schedule.iterations
@@ -289,7 +289,7 @@ class _Context:
         elif backend == BACKEND_EXACT:
             self.coupling, self.diag = _profit_fold(self.instance, lane)
         else:
-            self.crossbar = program_crossbar(qubo, noise_sigma=crossbar_noise_sigma)
+            self.crossbar = program_crossbar(problem.qubo, noise_sigma=crossbar_noise_sigma)
             self.filter_model = None  # dqubo proposals are never gated
             if self.mode == MODE_HYCIM:
                 self.filter_model = build_filter(
@@ -351,7 +351,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         field = np.matmul(z, ctx.coupling, dtype=np.int64) + ctx.diag
         # x^T q x, or the penalty energy less beta s^2, is sum_j z_j (field_j + diag_j) / 2
         # plus the offset, summed in int64 since it may pass the lane
-        qf = np.einsum("ri,ri->r", field + ctx.diag, z) // 2 + ctx.qubo.offset
+        qf = np.einsum("ri,ri->r", field + ctx.diag, z) // 2 + ctx.offset
         if not hycim:
             s = np.matmul(x, ctx.slopes, dtype=np.int64)  # w.x - sum_k k y_k
             qf += ctx.beta * s * s
@@ -557,8 +557,7 @@ def batch_solve(
     results do not depend on execution order, on lockstep blocking or on the
     jobs worker count.  Records are ordered by (initial_index, run_index).
     """
-    if not isinstance(instance, QkpInstance):
-        raise ValidationError("instance", f"must be a QkpInstance, got {type(instance).__name__}")
+    _as_instance(instance)
     num_initials = _as_int(num_initials, "num_initials", 1)
     runs_per_initial = _as_int(runs_per_initial, "runs_per_initial", 1)
     master_seed = _as_int(master_seed, "master_seed", 0, _SEED_LIMIT)

@@ -18,10 +18,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .anneal import DEFAULT_ITERATIONS, MODE_DQUBO, MODE_HYCIM, batch_solve, default_schedule
+from .anneal import (DEFAULT_ITERATIONS, MODE_DQUBO, MODE_HYCIM, _spawn_seeds, batch_solve,
+                     default_schedule)
 from .errors import CapacityError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
-from .qkp import _SEED_LIMIT, QkpInstance, _as_int, brute_force_oracle
+from .qkp import _SEED_LIMIT, QkpInstance, _as_instance, _as_int, brute_force_oracle
 from .transform import (
     DEFAULT_PENALTY,
     build_dqubo,
@@ -58,7 +59,7 @@ def overhead_report(
 
     When the penalty matrix is too large to materialize its bit depth is still
     exact, computed from the coefficient formulas."""
-    n = instance.n
+    n = _as_instance(instance).n
     ineq = build_inequality_qubo(instance)
     hbits = quantization_info(ineq.qubo.q).bits
     hycim_cells = 2 * FilterConfig.rows * n + n * n * hbits
@@ -132,6 +133,7 @@ def success_rate_study(
     num_initials, runs_per_initial, iterations, jobs, master_seed = (_as_int(*rule) for rule in (
         (num_initials, "num_initials", 1), (runs_per_initial, "runs_per_initial", 1),
         (iterations, "iterations", 1), (jobs, "jobs", 1), (master_seed, "master_seed", 0, _SEED_LIMIT)))
+    _as_instance(instance)
     optimum = brute_force_oracle(instance).best_value
     threshold = THRESHOLD_FRACTION * optimum
     h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
@@ -195,6 +197,7 @@ def filter_study(
 ) -> FilterStudy:
     """Per-configuration matchline detail over a balanced feasible/infeasible
     sample, plus the aggregate classification accuracy."""
+    _as_instance(instance)
     num_samples = _as_int(num_samples, "num_samples", 2)
     seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
     cfg = config or FilterConfig()
@@ -241,10 +244,12 @@ def filter_suite(
     """Noiseless filter_study over many instances with one aggregate accuracy;
     each instance samples its own balanced configuration set."""
     seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
+    instances = [_as_instance(inst, f"instances[{k}]") for k, inst in enumerate(instances)]
+    # instance k samples with the seed of spawn key (k,)
+    sub_seeds = _spawn_seeds(seed, np.arange(len(instances))).tolist()
     cases = []
     correct = 0
-    for idx, inst in enumerate(instances):
-        sub_seed = int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1, np.uint64)[0])
+    for inst, sub_seed in zip(instances, sub_seeds):
         study = filter_study(inst, configs_per_instance, seed=sub_seed)
         cases.extend(study.cases)
         correct += sum(case.predicted == case.actual for case in study.cases)

@@ -142,7 +142,7 @@ def _cmd_solve(args) -> int:
     if args.trajectory:
         if args.initials != 1 or args.runs != 1:
             raise ConfigurationError("--trajectory needs --initials 1 --runs 1")
-        initial = _draw_initials(args.seed, 1, problem.qubo.dim)[0]
+        initial = _draw_initials(args.seed, 1, problem.dim)[0]
         record = sa_run(
             problem, backend=args.backend, schedule=schedule, initial=initial,
             seed=_derived_seed(args.seed, 0, 0), filter_config=filter_cfg,

@@ -48,6 +48,13 @@ def as_bits(x, n: int | None = None) -> np.ndarray:
     return bits
 
 
+def _as_instance(value, name: str = "instance") -> QkpInstance:
+    """The rule for every instance argument: a QkpInstance, as given."""
+    if not isinstance(value, QkpInstance):
+        raise ValidationError(name, f"must be a QkpInstance, got {type(value).__name__}")
+    return value
+
+
 def _as_rng(rng) -> np.random.Generator:
     """A Generator as given, a fresh-entropy one for None, else one seeded by rng."""
     if isinstance(rng, np.random.Generator):
@@ -265,6 +272,7 @@ def parse_instance(source, fmt: str = TEXT_FORMAT) -> QkpInstance:
 
 
 def dump_instance(instance: QkpInstance, fmt: str = TEXT_FORMAT) -> str:
+    _as_instance(instance)
     if fmt == TEXT_FORMAT:
         lines = [instance.name, str(instance.n)]
         lines.append(" ".join(str(v) for v in np.diagonal(instance.profits).tolist()))
@@ -366,7 +374,7 @@ def brute_force_oracle(instance: QkpInstance) -> OracleResult:
     are float64 sums, exact while the profit and weight totals stay within
     2^53; larger totals raise CapacityError.
     """
-    n = instance.n
+    n = _as_instance(instance).n
     if n > ORACLE_MAX_ITEMS:
         raise CapacityError(
             f"oracle handles n <= {ORACLE_MAX_ITEMS}, got n = {n}; use the annealer for larger instances"

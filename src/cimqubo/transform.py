@@ -11,17 +11,20 @@ Two formulations of the same problem:
 Matrix energies are evaluated as x^T q x + offset.  The inequality matrix is
 symmetric and counts both orderings of a pair; the penalty matrix keeps the
 full folded coefficient of each pair in the upper triangle so that a single
-cell holds the whole coupling.
+cell holds the whole coupling.  A model holds only its instance (and the
+penalty weights) and expands its matrix when .qubo is first read;
+_flip_magnitudes gives the annealer what it needs of the matrix from the folds.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
-from .qkp import QkpInstance, _as_int, _as_int_array, _fields_equal, as_bits
+from .qkp import QkpInstance, _as_instance, _as_int, _as_int_array, _fields_equal, as_bits
 
 INEQUALITY_MODE = "inequality"
 DQUBO_MODE = "dqubo"
@@ -71,12 +74,6 @@ class QuboMatrix:
         bits = as_bits(x, self.dim).astype(np.int64)
         return int(bits @ self.q @ bits) + self.offset
 
-    def energy_bound(self) -> int:
-        """sum_ij |q_ij| + |offset|, exactly.  No energy, and no difference of
-        two energies, exceeds it in magnitude."""
-        # as uint64, |-2^63| wraps back to 2^63
-        return _exact_sum(np.abs(self.q).view(np.uint64)) + abs(self.offset)
-
     __eq__ = _fields_equal
 
 
@@ -84,24 +81,59 @@ class QuboMatrix:
 class InequalityQuboModel:
     """Profit matrix negated into a QUBO, constraint handled by the filter.
 
-    qubo is build_inequality_qubo(instance).qubo; the exact annealer couples
-    its fields through _profit_fold(instance) instead."""
+    qubo, -profits with offset 0 (the profit fold's coupling halved, its
+    diagonal on the diagonal), is expanded when first read."""
 
-    qubo: QuboMatrix
     instance: QkpInstance
+
+    def __post_init__(self):
+        _as_instance(self.instance)
+
+    @property
+    def dim(self) -> int:
+        return self.instance.n
+
+    @functools.cached_property
+    def qubo(self) -> QuboMatrix:
+        return QuboMatrix(-self.instance.profits, offset=0)
 
 
 @dataclass(frozen=True, eq=False)
 class DQuboModel:
     """Penalty formulation over n item bits plus C one-hot slack bits.
 
-    qubo is build_dqubo(instance, alpha, beta).qubo; the exact annealer works
-    from the factored terms of instance, alpha and beta instead."""
+    qubo, _penalty_matrix with offset alpha, is expanded when first read.  The
+    checks below guard every build: past them no energy or kept coefficient
+    wraps int64 (discarded diagonals may)."""
 
-    qubo: QuboMatrix
+    instance: QkpInstance
     alpha: int
     beta: int
-    instance: QkpInstance
+
+    def __post_init__(self):
+        instance = _as_instance(self.instance)
+        alpha, beta = _as_int(self.alpha, "alpha", 1), _as_int(self.beta, "beta", 1)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        bound = _penalty_bound(instance, alpha, beta)
+        if bound > _INT64_MAX:
+            raise CapacityError(
+                f"penalty energies up to {bound} overflow 64-bit arithmetic (capacity {instance.capacity})"
+            )
+        if self.dim > _DQUBO_DIM_LIMIT:
+            raise CapacityError(
+                f"penalty matrix dimension {self.dim} exceeds the {_DQUBO_DIM_LIMIT} build limit"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.instance.n + self.instance.capacity
+
+    @functools.cached_property
+    def qubo(self) -> QuboMatrix:
+        q = _penalty_matrix(self.instance, self.alpha, self.beta)
+        q.setflags(write=False)  # QuboMatrix keeps it without a copy
+        return QuboMatrix(q, offset=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -111,7 +143,7 @@ class QuantizationInfo:
 
 
 def build_inequality_qubo(instance: QkpInstance) -> InequalityQuboModel:
-    return InequalityQuboModel(qubo=QuboMatrix(-instance.profits, offset=0), instance=instance)
+    return InequalityQuboModel(instance)
 
 
 def _penalty_bound(instance: QkpInstance, alpha: int, beta: int) -> int:
@@ -188,23 +220,40 @@ def _penalty_matrix(instance: QkpInstance, alpha: int, beta: int, dtype=np.int64
 def build_dqubo(
     instance: QkpInstance, alpha: int = DEFAULT_PENALTY, beta: int = DEFAULT_PENALTY
 ) -> DQuboModel:
-    """Expand the penalty objective into an (n + C)-bit matrix with offset alpha."""
-    alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
-    C = instance.capacity
-    dim = instance.n + C
-    # Below 2^63 no energy or kept coefficient wraps; discarded diagonals may
-    bound = _penalty_bound(instance, alpha, beta)
-    if bound > _INT64_MAX:
-        raise CapacityError(
-            f"penalty energies up to {bound} overflow 64-bit arithmetic (capacity {C})"
-        )
-    if dim > _DQUBO_DIM_LIMIT:
-        raise CapacityError(
-            f"penalty matrix dimension {dim} exceeds the {_DQUBO_DIM_LIMIT} build limit"
-        )
-    q = _penalty_matrix(instance, alpha, beta)
-    q.setflags(write=False)  # QuboMatrix keeps it without a copy
-    return DQuboModel(qubo=QuboMatrix(q, offset=alpha), alpha=alpha, beta=beta, instance=instance)
+    """The penalty objective over n + C bits with offset alpha."""
+    return DQuboModel(instance, alpha, beta)
+
+
+def _flip_magnitudes(model: InequalityQuboModel | DQuboModel) -> tuple[np.ndarray, np.ndarray, int]:
+    """(cols, diag, bound) of model.qubo, from the folds without the matrix:
+    cols_j = sum over i != j of |(q + q^T)_ij| as float64, diag_j = |q_jj| as
+    int64, and bound = sum |q_ij| + |offset| exactly.
+
+    The inequality form's cols are the column sums of the profit fold's
+    |coupling| and its bound is sum p_ij.  Each pair of the penalty form sits
+    in one triangle and holds 2 beta v_j v_l + coupling[min(j, n), min(l, n)]
+    (see _penalty_matrix): 2 beta w_i w_l - 2 p_il for two items, -2 beta w_i k
+    for item i and count k, 2 beta k m + 2 alpha for counts k != m.  So count
+    k's column is 2 beta k (sum w + C (C + 1) / 2 - k) + 2 alpha (C - 1), the
+    counts add beta w_l C (C + 1) to item l's, and bound = sum cols / 2 + sum
+    diag + alpha.  Every column stays within the bound DQuboModel guards below
+    2^63, so int64 holds it; inequality columns past int64 are Python ints."""
+    inst = model.instance
+    if isinstance(model, InequalityQuboModel):
+        bound = _exact_sum(inst.profits.astype(np.uint64))
+        coupling, diag = _profit_fold(inst, np.int64 if 2 * bound <= _INT64_MAX else object)
+        return np.abs(coupling).sum(axis=0).astype(np.float64), np.abs(diag).astype(np.int64), bound
+    n, C, alpha, beta = inst.n, inst.capacity, model.alpha, model.beta
+    coupling, diag, slopes, costs = _penalty_flip_terms(inst, alpha, beta)
+    items = 2 * beta * np.outer(slopes[:n], slopes[:n]) + coupling[:n, :n]
+    np.fill_diagonal(items, 0)
+    counts = -slopes[n:]
+    cols = np.concatenate([np.abs(items).sum(axis=0) + beta * inst.weights * C * (C + 1),
+                           2 * beta * counts * (inst.total_weight + C * (C + 1) // 2 - counts)
+                           + 2 * alpha * (C - 1)])
+    diag = np.abs(costs + diag[np.minimum(np.arange(n + C), n)])
+    return (cols.astype(np.float64), diag,
+            sum(cols.tolist()) // 2 + sum(diag.tolist()) + alpha)
 
 
 def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> QuantizationInfo:
@@ -212,6 +261,7 @@ def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> Qua
     matrix over the two largest slack counts (for C >= 2 their pair outgrows
     the count-1 diagonal |beta - alpha|).  Python ints keep it exact past the
     build's dimension and 64-bit limits."""
+    _as_instance(instance)
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
     q = _penalty_matrix(instance, alpha, beta, object, range(1, instance.capacity + 1)[-2:])
     return _quantization(int(np.abs(q).max()))

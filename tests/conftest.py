@@ -158,6 +158,12 @@ def ref_energy_bound(q, offset):
     return sum(abs(v) for row in q for v in row) + abs(offset)
 
 
+def ref_flip_columns(q):
+    """Column j's sum over i != j of |q_ij + q_ji|, in Python ints."""
+    n = len(q)
+    return [sum(abs(q[i][j] + q[j][i]) for i in range(n) if i != j) for j in range(n)]
+
+
 def ref_flip_scale(q):
     """flip_scale as first written, with two matrix-sized temporaries: the
     float64 column sums of |Q + Q^T| off the diagonal, averaged, plus the

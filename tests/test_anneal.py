@@ -20,9 +20,11 @@ from cimqubo import (
     flip_scale,
     generate_instance,
     sa_run,
+    success_rate_study,
     write_trajectory_csv,
 )
 from cimqubo import anneal
+from cimqubo.transform import _flip_magnitudes
 
 from conftest import (
     criterion7_instance,
@@ -390,7 +392,7 @@ def test_exact_penalty_context_keeps_no_square_array():
     inst = make_instance(np.ones((20, 20), dtype=np.int64), [200] * 20, 2000)
     problem = build_dqubo(inst)
     ctx = anneal._Context(problem, "exact-software", short(iters=50))
-    dim = problem.qubo.dim
+    dim = problem.dim
     assert dim == 2020
     arrays = {name: value for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
     assert arrays and all(a.size < dim * dim for a in arrays.values()), {
@@ -398,6 +400,7 @@ def test_exact_penalty_context_keeps_no_square_array():
     initial = np.zeros(dim, dtype=np.int8)
     initial[[0, 3, 20, 500]] = 1
     rec = anneal._anneal(ctx, [initial], [5])[0]
+    assert "qubo" not in vars(problem)  # nothing expanded the matrix
     assert rec.best_energy == problem.qubo.energy(rec.best_config)
 
 
@@ -441,20 +444,23 @@ def test_batch_memory_is_bounded():
     assert peak < 10 * 2**20
 
 
-def test_flip_scale_and_energy_bound_keep_one_matrix_sized_temporary():
-    # capacity 1922: the penalty matrix takes 28.8 MiB, two temporaries would reach 57.5
+@pytest.mark.parametrize("call", [
+    lambda inst: batch_solve(inst, "dqubo", 2, 1, AnnealSchedule(50, 5.0, 1.0)),
+    lambda inst: default_schedule(build_dqubo(inst)),
+    lambda inst: success_rate_study(inst, 2, 1, iterations=50),
+], ids=["batch_solve", "default_schedule", "success_rate_study"])
+def test_exact_penalty_calls_expand_no_matrix(call):
+    # capacity 1922: the penalty matrix would take 28.8 MiB
     inst = generate_instance(20, seed=1, density=0.5, wmax=200, pmax=50, cap_ratio=1.0)
-    problem = build_dqubo(inst)
-    size = problem.qubo.q.nbytes
+    size = (inst.n + inst.capacity) ** 2 * 8
     assert inst.capacity == 1922 and size > 28 * 2**20
-    for measure in (lambda: flip_scale(problem), problem.qubo.energy_bound):
-        tracemalloc.start()
-        try:
-            measure()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * size
+    tracemalloc.start()
+    try:
+        call(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4  # far below one expanded matrix
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -516,14 +522,14 @@ def test_energy_bound_guard():
 
 
 def test_factored_penalty_guard():
-    # beta w_i w_j cancels the profits, so energy_bound() stays small while the
-    # factored terms, sum p_ij + beta (sum w + 1)^2 + 2 alpha, pass 2^62
+    # beta w_i w_j cancels the profits, so sum |q_ij| + |offset| stays small while
+    # the factored terms, sum p_ij + beta (sum w + 1)^2 + 2 alpha, pass 2^62
     w = 3 << 28
     problem = build_dqubo(make_instance(np.full((2, 2), w * w), [w, w], 1), beta=1)
-    assert problem.qubo.energy_bound() < 2**32
+    assert _flip_magnitudes(problem)[2] < 2**32
     with pytest.raises(ConfigurationError, match="factored penalty terms"):
         sa_run(problem, schedule=short(iters=5), initial=[0, 0, 0])
-    # the behavioral backend reads the matrix and needs only energy_bound()
+    # the behavioral backend reads the matrix and needs only that sum below 2^53
     sa_run(problem, backend="behavioral-cim", schedule=short(iters=5), initial=[0, 0, 0])
 
 

@@ -218,6 +218,17 @@ def test_filter_suite_is_deterministic():
     assert a.cases == b.cases
 
 
+def test_filter_suite_cases_are_pinned():
+    # instance k samples with SeedSequence(seed, spawn_key=(k,)); the digest was
+    # recorded when each sub-seed came from its own SeedSequence call
+    study = filter_suite([generate_instance(12, seed=k) for k in range(40)], seed=7)
+    digest = hashlib.sha256()
+    for case in study.cases:
+        digest.update(repr(dataclasses.astuple(case)).encode())
+    assert (study.num_cases, study.accuracy) == (800, 1.0)
+    assert digest.hexdigest() == "16f3b2c032edeb3857111b7ea50902b1ea95a3c9f17ef9e8e7eef79c56db7b92"
+
+
 # ------------------------------------------------------- report files
 
 def test_overhead_csv_round_trip(tmp_path, tiny):

@@ -25,6 +25,7 @@ from cimqubo import (
     CapacityError,
     CimQuboError,
     ConfigurationError,
+    DQuboModel,
     FilterConfig,
     InequalityQuboModel,
     QkpInstance,
@@ -44,6 +45,7 @@ from cimqubo import (
     flip_scale,
     generate_instance,
     load_qubo_json,
+    overhead_report,
     parse_instance,
     program_crossbar,
     quantization_info,
@@ -54,7 +56,7 @@ from cimqubo import (
 )
 from cimqubo import anneal
 from cimqubo.filter_sim import VDD
-from cimqubo.transform import _penalty_bound, _penalty_flip_terms
+from cimqubo.transform import _flip_magnitudes, _penalty_bound, _penalty_flip_terms
 
 from conftest import (
     make_instance,
@@ -62,6 +64,7 @@ from conftest import (
     ref_energy_bound,
     ref_enumerate,
     ref_filter_check,
+    ref_flip_columns,
     ref_flip_scale,
     ref_initials,
     ref_int_setting,
@@ -99,7 +102,7 @@ def test_batch_equals_single_runs(backend, noise, inst, mode, master):
     records = batch_solve(inst, mode, 2, 2, schedule=SCHEDULE, backend=backend,
                           master_seed=master, **noise)
     problem = BUILDS[mode](inst)
-    initials = ref_initials(master, 2, problem.qubo.dim)
+    initials = ref_initials(master, 2, problem.dim)
     singles = [sa_run(problem, backend=backend, schedule=SCHEDULE, initial=initials[i],
                       seed=ref_run_seed(master, i, r), **noise)
                for i in range(2) for r in range(2)]
@@ -114,7 +117,7 @@ def test_noiseless_array_backend_equals_exact(inst, mode, master):
                         master_seed=master)
     assert array == exact
     problem = BUILDS[mode](inst)
-    initial = ref_initials(master, 1, problem.qubo.dim)[0]
+    initial = ref_initials(master, 1, problem.dim)[0]
     runs = [sa_run(problem, backend=backend, schedule=SCHEDULE, initial=initial, seed=master,
                    record_trajectory=True)
             for backend in ("exact-software", "behavioral-cim")]
@@ -135,7 +138,7 @@ def test_noiseless_array_backend_equals_exact(inst, mode, master):
 def test_lockstep_run_equals_plain_loop_replay(inst, mode, backend, iterations, t_start,
                                                cooling, seed, bits):
     problem = BUILDS[mode](inst)
-    initial = bits[: problem.qubo.dim]
+    initial = bits[: problem.dim]
     schedule = AnnealSchedule(iterations=iterations, t_start=t_start, t_end=t_start * cooling)
     assert_replays(problem, backend, schedule, initial, seed)
 
@@ -168,6 +171,10 @@ def test_seed_kernel_equals_numpy_seeding(master, keys, seed):
     initial, run = zip(*keys)
     seeds = anneal._run_seeds(master, list(initial), list(run)).tolist()
     assert seeds == [ref_run_seed(master, i, r) for i, r in keys]
+    # a one-word key, as filter_suite derives each instance's seed
+    assert anneal._spawn_seeds(master, list(initial)).tolist() == [
+        int(np.random.SeedSequence(master, spawn_key=(i,)).generate_state(1, np.uint64)[0])
+        for i in initial]
     assert anneal._derived_seed(master, *keys[0]) == seeds[0]
     seeds.append(seed)
     states = anneal._generator_states(np.array(seeds, dtype=np.uint64))
@@ -196,19 +203,19 @@ def cancelling_profits(weights, capacity, extra=0):
     return make_instance(profits, weights, capacity, name="cancel")
 
 
-# energy_bound() 1080046 fits int32, while beta s^2 and the profit field reach 8.1e9
+# sum |q_ij| + |offset| is 1080046 and fits int32, while beta s^2 and the profit field reach 8.1e9
 CANCEL_INT32 = cancelling_profits([40_000, 50_000], 3)
-# sum |p_ij| is 4.5 * 2^53 and energy_bound() 1.2e9: a float64 start field is off by 2
+# sum |p_ij| is 4.5 * 2^53 and sum |q_ij| + |offset| 1.2e9: a float64 start field is off by 2
 CANCEL_FLOAT = cancelling_profits([2**26 + 1, 2**26 + 3, 2**26 + 5], 2, extra=1)
 
 
 @st.composite
 def lane_boundary_runs(draw):
-    """A problem scaled so that energy_bound() lies a few steps either side of
+    """A problem scaled so that sum |q_ij| + |offset| lies a few steps either side of
     2^31 - 1, the last bound whose bound + 1 fits int32, with a schedule that
     is frozen, scaled to the energies, or hot past any energy change."""
     inst, mode = draw(instances()), draw(st.sampled_from(sorted(BUILDS)))
-    unit = BUILDS[mode](inst).qubo.energy_bound()
+    unit = _flip_magnitudes(BUILDS[mode](inst))[2]
     assume(unit > 0)
     scale = draw(st.integers(max(1, INT32_MAX // unit - 1), INT32_MAX // unit + 2))
     scaled = make_instance(inst.profits * scale, inst.weights, inst.capacity)
@@ -219,8 +226,7 @@ def lane_boundary_runs(draw):
                              st.floats(1e-2, 1e2).map(lambda t: t * scale)))
     t_end = max(t_start * draw(st.floats(1e-3, 1.0)), TINY)
     schedule = AnnealSchedule(draw(st.integers(1, 100)), t_start, t_end)
-    initial = draw(st.lists(st.integers(0, 1), min_size=problem.qubo.dim,
-                            max_size=problem.qubo.dim))
+    initial = draw(st.lists(st.integers(0, 1), min_size=problem.dim, max_size=problem.dim))
     return problem, schedule, initial
 
 
@@ -242,7 +248,7 @@ def lane_boundary_runs(draw):
 # bound 2^53 and dE = bound: bound + 1 is no float64, the threshold must still pass it
 @example(run=(hycim_diag([2**53]), AnnealSchedule(5, 1e300, 1e300), [1]),
          backend="exact-software", seed=4)
-# the factored penalty terms outgrow energy_bound(): the lane must hold them, not only energies
+# the factored penalty terms outgrow sum |q_ij| + |offset|: the lane must hold them, not only energies
 @example(run=(build_dqubo(CANCEL_INT32, 2, 1), AnnealSchedule(60, 1e6, 1e4), [1, 1, 0, 1, 0]),
          backend="exact-software", seed=5)
 @example(run=(build_dqubo(CANCEL_FLOAT, 2, 1), AnnealSchedule(60, 1e9, 1e7), [1, 1, 1, 0, 1]),
@@ -254,7 +260,7 @@ def test_lane_boundary_run_equals_plain_loop_replay(run, backend, seed):
 
 def test_factored_penalty_lane_holds_every_term():
     # wrapped int32 terms would still sum to the right energies, so the replays
-    # above cannot see a lane taken from energy_bound(); the lane itself can
+    # above cannot see a lane taken from sum |q_ij| + |offset|; the lane itself can
     for cancel in (CANCEL_INT32, CANCEL_FLOAT):
         assert anneal._Context(build_dqubo(cancel, 2, 1), "exact-software", SCHEDULE).energy_dtype == np.int64
     # the criterion-7 penalty problems stay in int32
@@ -301,22 +307,34 @@ def test_factored_flip_change_equals_the_matrix_energy_change(inst, alpha, beta,
     assert sum(v * b for v, b in zip(slopes, y)) == s + delta * slopes[j]
     assert fields(y)[1] == [f + delta * c for f, c in zip(field, coupling[col])]
     held = field + [2 * beta * s, slopes[j] * 2 * beta * s, inner, change, energy, costs[j]]
-    assert max(map(abs, held)) <= bound and model.qubo.energy_bound() <= bound
+    assert max(map(abs, held)) <= bound and _flip_magnitudes(model)[2] <= bound
 
 
-INT64_EDGES = [-(2**63), -(2**63) + 1, -(2**62), -1, 0, 1, 2**62, 2**63 - 1]
-INT64S = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES))
+# profits past 2^62, where the doubled coupling of the inequality form passes int64
+NEAR_2_62 = make_instance([[2**62 + 5, 2**62 - 1, 3], [2**62 - 1, 2**62, 0], [3, 0, 2**63 - 1]],
+                          [1, 2, 3], 4, name="near62")
 
 
 @common
-@given(dim=st.integers(1, 12), data=st.data(), offset=INT64S)
-def test_one_temporary_flip_scale_and_energy_bound_equal_the_earlier_formulas(dim, data, offset):
-    q = np.array(data.draw(st.lists(INT64S, min_size=dim * dim, max_size=dim * dim)),
-                 dtype=np.int64).reshape(dim, dim)
-    qubo = QuboMatrix(q, offset)
-    assert qubo.energy_bound() == ref_energy_bound(q.tolist(), offset)
-    # flip_scale reads only the matrix; q + q^T wraps in both formulas alike
-    assert flip_scale(InequalityQuboModel(qubo=qubo, instance=None)) == ref_flip_scale(q)
+@given(inst=instances(), mode=st.sampled_from(sorted(BUILDS)), alpha=st.integers(1, 300),
+       beta=st.integers(1, 20), scale=st.sampled_from([1, 7, 2**26, 2**40, 2**58]))
+@example(inst=NEAR_2_62, mode="hycim", alpha=1, beta=1, scale=1)
+@example(inst=CANCEL_FLOAT, mode="dqubo", alpha=2, beta=1, scale=1)
+def test_flip_magnitudes_equal_the_expanded_matrix(inst, mode, alpha, beta, scale):
+    scaled = make_instance(inst.profits * scale, inst.weights, inst.capacity)
+    try:
+        model = build_inequality_qubo(scaled) if mode == "hycim" else build_dqubo(scaled, alpha, beta)
+    except CapacityError:
+        assume(False)  # the builder refuses it, so nothing reads its magnitudes
+    cols, diag, bound = _flip_magnitudes(model)
+    q, offset = model.qubo.q.tolist(), model.qubo.offset
+    assert bound == ref_energy_bound(q, offset)
+    # each column is its exact sum rounded once, past 2^53 and 2^64 too
+    assert cols.dtype == np.float64 and cols.tolist() == [float(c) for c in ref_flip_columns(q)]
+    assert diag.dtype == np.int64 and diag.tolist() == [abs(q[j][j]) for j in range(len(q))]
+    if bound <= 2**53:  # every model the annealer accepts: the float of the first formula
+        assert flip_scale(model) == ref_flip_scale(model.qubo.q)
+    assert flip_scale(model) == float(cols.mean() + diag.mean())
 
 
 SIGNS = {"mixed": (-1, 1), "positive": (0, 1), "negative": (-1, 0), "zero": (0, 0)}
@@ -652,6 +670,37 @@ def test_master_seed_forms_give_equal_records(seed):
         THREE, "hycim", 2, 2, FIVE_STEPS, master_seed=3)
     report = _study(master_seed=seed)
     assert report == _study(master_seed=3) and type(report.master_seed) is int
+
+
+# ------------------------------------------------- one instance rule
+
+# (the call site, the ValidationError field, the call) for every public
+# function that takes an instance
+INSTANCE_CALLS = [
+    ("InequalityQuboModel", "instance", lambda v: InequalityQuboModel(v)),
+    ("DQuboModel", "instance", lambda v: DQuboModel(v, 2, 2)),
+    ("build_inequality_qubo", "instance", lambda v: build_inequality_qubo(v)),
+    ("build_dqubo", "instance", lambda v: build_dqubo(v)),
+    ("dqubo_quantization_info", "instance", lambda v: dqubo_quantization_info(v, 2, 2)),
+    ("brute_force_oracle", "instance", lambda v: brute_force_oracle(v)),
+    ("dump_instance", "instance", lambda v: dump_instance(v)),
+    ("overhead_report", "instance", lambda v: overhead_report(v)),
+    ("success_rate_study", "instance", lambda v: success_rate_study(v, 1, 1, iterations=5)),
+    ("filter_study", "instance", lambda v: filter_study(v, 4)),
+    ("filter_suite", "instances[1]", lambda v: filter_suite([THREE, v], 4)),
+    ("batch_solve", "instance", lambda v: batch_solve(v, "hycim", 1, 1, FIVE_STEPS)),
+]
+
+
+@pytest.mark.parametrize("site, name, call", INSTANCE_CALLS,
+                         ids=[site for site, *_ in INSTANCE_CALLS])
+@pytest.mark.parametrize("value", [build_dqubo(THREE), None], ids=["model", "None"])
+def test_instance_arguments_follow_one_rule(site, name, call, value):
+    # a model in place of its instance escaped as a bare AttributeError
+    with pytest.raises(ValidationError, match="must be a QkpInstance") as refused:
+        call(value)
+    assert refused.value.field == name, site
+    call(THREE)
 
 
 # ------------------------------------------------- one real-number rule for settings

@@ -21,6 +21,7 @@ REMOVED = {
     "constrained_energy", "linearity_sweep", "WeightPlane", "ReplicaConfig",
     "decompose_weights", "build_replica", "evaluate_ml",
     "qkp_objective", "qkp_weight", "is_feasible", "bits", "reconstruct", "vdd", "unit_drop",
+    "energy_bound",
 }
 
 # the full parameter lists of the functions that lost an option: the option
@@ -93,7 +94,7 @@ def test_removed_names_are_gone():
     assert not REMOVED & set(cimqubo.__all__)
     for module in (cimqubo, bench, cli, crossbar_sim, filter_sim, qkp, transform):
         assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
-    for cls in (crossbar_sim.CrossbarModel, filter_sim.FilterConfig):
+    for cls in (crossbar_sim.CrossbarModel, filter_sim.FilterConfig, transform.QuboMatrix):
         assert not REMOVED & set(dir(cls)), cls.__name__
     assert not hasattr(qkp.QkpInstance, "vacuous_constraint")
     assert "sign" not in crossbar_sim.CrossbarModel.__dataclass_fields__
@@ -129,13 +130,14 @@ def test_modules_have_no_unused_imports():
 
 
 def test_programmed_quantities_are_stored_once():
-    # the crossbar keeps only its packed rows; models read the instance they hold
+    # the crossbar keeps only its packed rows; a model is its instance and penalty
+    # weights, and expands its matrix only when .qubo is read
     assert not {"parts", "_read_stack"} & set(dir(crossbar_sim.CrossbarModel))
     fields = {cls: set(cls.__dataclass_fields__)
               for cls in (filter_sim.FilterModel, transform.InequalityQuboModel, transform.DQuboModel)}
     assert fields[filter_sim.FilterModel] == {"weights", "unit_drop", "config", "replica_ml"}
-    assert not {"weights", "capacity"} & fields[transform.InequalityQuboModel]
-    assert not {"n", "capacity"} & fields[transform.DQuboModel]
+    assert fields[transform.InequalityQuboModel] == {"instance"}
+    assert fields[transform.DQuboModel] == {"instance", "alpha", "beta"}
 
 
 def test_run_records_have_slots():

@@ -22,6 +22,8 @@ from cimqubo import (
     quantization_info,
 )
 
+from cimqubo.transform import _flip_magnitudes
+
 from conftest import (criterion7_instance, hundred_items, make_instance, ref_constrained_energy,
                       ref_dqubo_energy, ref_objective)
 
@@ -210,21 +212,24 @@ def test_dqubo_energy_sum_guard():
     inst = make_instance([[1, 0], [0, 1]], [1, 1], 4)
     with pytest.raises(CapacityError, match="energies"):
         build_dqubo(inst, beta=10**17)
-    assert build_dqubo(inst, beta=10**16).qubo.energy_bound() < 2**63
+    assert _flip_magnitudes(build_dqubo(inst, beta=10**16))[2] < 2**63
 
 
 def test_energy_bound_sums_absolute_coefficients():
     inst = generate_instance(8, density=0.6, wmax=15, pmax=40, seed=12)
-    model = build_dqubo(inst, alpha=3, beta=5)
-    q = model.qubo.q.tolist()
-    exact = sum(abs(v) for row in q for v in row) + model.qubo.offset
-    assert model.qubo.energy_bound() == exact
+    for model in (build_inequality_qubo(inst), build_dqubo(inst, alpha=3, beta=5)):
+        q = model.qubo.q.tolist()
+        exact = sum(abs(v) for row in q for v in row) + model.qubo.offset
+        assert _flip_magnitudes(model)[2] == exact
 
 
 def test_energy_bound_is_exact_past_64_bits():
     top = 2**63 - 1
-    q = QuboMatrix(np.array([[top, -top], [-(2**63), top]], dtype=np.int64), offset=-5)
-    assert q.energy_bound() == 3 * top + 2**63 + 5
+    model = build_inequality_qubo(make_instance([[top, top], [top, top - 2]], [1, 1], 2))
+    cols, diag, bound = _flip_magnitudes(model)
+    assert bound == 4 * top - 2
+    # 2 top wraps to -2 in int64; each column is its exact sum rounded once
+    assert cols.tolist() == [float(2 * top)] * 2 and diag.tolist() == [top, top - 2]
 
 
 def test_dqubo_dimension_guard():
