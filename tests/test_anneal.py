@@ -419,6 +419,52 @@ def test_reference_records_are_pinned(mode):
     assert ref_records_digest(records) == REFERENCE_DIGESTS[mode]
 
 
+def test_noisy_array_records_are_pinned():
+    # criterion-7 instances 1-8 with master seeds 101-108, both modes, 2 x 2 runs
+    # each, at sigma 0.02 on the crossbar and the filter: every noise draw is in
+    # the digest, so it pins the per-run draws and their order
+    noisy = dict(backend="behavioral-cim", filter_config=FilterConfig(noise_sigma=0.02),
+                 crossbar_noise_sigma=0.02)
+    records = [rec for k in range(1, 9) for mode in ("hycim", "dqubo")
+               for rec in batch_solve(criterion7_instance(k), mode, 2, 2, master_seed=100 + k, **noisy)]
+    assert len(records) == 64
+    assert ref_records_digest(records) == (
+        "c43533a2a5477701079a508219684940f486de70511ae0a76fb098bd537ea1bc")
+
+
+def test_array_calls_follow_the_proposals(monkeypatch):
+    # one filter check per hycim proposal and initial state, one crossbar read
+    # per evaluation and initial read; an over-weight start drifts without a read
+    calls = {"vmv_energy": 0, "filter_check": 0}
+
+    def counted(name):
+        fn = getattr(anneal, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(anneal, name, counted(name))
+    inst = criterion7_instance(2)
+    sched = short(iters=150)
+    heavy = sa_run(build_inequality_qubo(inst), "behavioral-cim", sched, [1] * inst.n, 3,
+                   record_trajectory=True)
+    assert any(moved and not passed for _, _, moved, passed in heavy.trajectory)
+    assert calls == {"vmv_energy": heavy.evaluations, "filter_check": sched.iterations + 1}
+    for mode in ("hycim", "dqubo"):
+        calls.update(vmv_energy=0, filter_check=0)
+        records = batch_solve(inst, mode, 3, 2, sched, "behavioral-cim", master_seed=5,
+                              crossbar_noise_sigma=0.02)
+        runs, evaluations = len(records), sum(r.evaluations for r in records)
+        if mode == "hycim":
+            assert calls["filter_check"] == runs * sched.iterations + runs
+            assert evaluations <= calls["vmv_energy"] <= evaluations + runs
+        else:
+            assert calls == {"vmv_energy": evaluations + runs, "filter_check": 0}
+
+
 @pytest.mark.parametrize("backend", ["exact-software", "behavioral-cim"])
 def test_records_do_not_depend_on_block_size(monkeypatch, backend):
     inst = criterion7_instance(3)
