@@ -13,8 +13,15 @@ with, or on the jobs worker count; sa_run is a block of one.  dqubo is the
 same loop with a gate that always passes.  The backends differ only in the
 gate and the energy: "exact-software" applies the weight inequality and
 updates energies through local fields, "behavioral-cim" makes one filter check
-and one crossbar read per run and proposal with that run's own generator.
-With noise disabled the two backends return identical records.
+(in hycim mode) and, when it passes, one crossbar read per run and proposal
+with that run's own generator.  The behavioral runs keep their array state
+as the exact runs keep their fields: each run's packed configuration and
+per-plane conducting-cell counts (crossbar_sim._RunCells, updated from the
+flipped bit's row and column for all runs at once) and its selected weight
+sum.  The check and the read take the run's weight and cell tallies in place
+of a configuration, so they count nothing and make only the run's noise
+draws and its FilterDecision or EnergyReading.  With noise disabled the two
+backends return identical records.
 
 A run's seed and generator are numpy's: run (i, r) of a batch has seed
 SeedSequence(master_seed, spawn_key=(1, i, r)).generate_state(1, uint64) and
@@ -60,9 +67,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar_sim import program_crossbar, vmv_energy
+from .crossbar_sim import _line_layout, _RunCells, program_crossbar, vmv_energy
 from .errors import ConfigurationError
-from .filter_sim import FilterConfig, _check_config, build_filter, filter_check
+from .filter_sim import FilterConfig, _check_config, _weight_tallies, build_filter, filter_check
 from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float,
                   _as_instance, _as_int, _fields_equal, as_bits)
 from .transform import (
@@ -290,6 +297,7 @@ class _Context:
             self.coupling, self.diag = _profit_fold(self.instance, lane)
         else:
             self.crossbar = program_crossbar(problem.qubo, noise_sigma=crossbar_noise_sigma)
+            self.layout = _line_layout(self.crossbar)
             self.filter_model = None  # dqubo proposals are never gated
             if self.mode == MODE_HYCIM:
                 self.filter_model = build_filter(
@@ -297,17 +305,18 @@ class _Context:
                 )
 
 
-def _cim_evaluate(ctx, configs, rngs, energies):
+def _cim_evaluate(ctx, reads, checks, rngs, energies):
     """Gate verdicts (None when nothing gates) and energies of one configuration
-    per run: a filter check in hycim mode and, when it passes, a crossbar read,
-    each with that run's generator.  Gated runs keep their given energy."""
+    per run, given as its tallies: a filter check of its weight sum in hycim
+    mode and, when it passes, a crossbar read of its cell counts, each with that
+    run's generator.  Gated runs keep their given energy."""
     passed = None
-    if ctx.filter_model is not None:
-        passed = np.array([filter_check(ctx.filter_model, config, rng).feasible
-                           for config, rng in zip(configs, rngs)])
+    if checks is not None:
+        passed = np.array([filter_check(ctx.filter_model, tally, rng).feasible
+                           for tally, rng in zip(checks, rngs)])
     energies = energies.copy()
-    for r in range(len(configs)) if passed is None else passed.nonzero()[0]:
-        reading = vmv_energy(ctx.crossbar, configs[r], rngs[r])
+    for r in range(len(reads)) if passed is None else passed.nonzero()[0]:
+        reading = vmv_energy(ctx.crossbar, reads[r], rngs[r])
         energies[r] = reading.value if ctx.crossbar_noisy else reading.exact_value
     return passed, energies
 
@@ -345,6 +354,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     xf = x.reshape(-1)
     base = np.arange(runs) * ctx.dim  # flat offset of each run's row
     wsum = x @ ctx.weights
+    wn = wsum.copy()  # weight sums of the proposals, which the filter's tallies read
     if exact:
         # hycim fields cover the bits; dqubo fields cover the items and the slack count
         z = x if hycim else np.column_stack([x[:, :n], x[:, n:].sum(axis=1)])
@@ -362,12 +372,15 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         feas = wsum <= cap if hycim else np.ones(runs, dtype=bool)
         energy = np.where(feas, qf, 0)
     else:
+        # each run keeps its packed configuration, per-plane cell counts and weight sum
+        cells = _RunCells(ctx.crossbar, ctx.layout, x)
+        checks = None if ctx.filter_model is None else _weight_tallies(ctx.filter_model, wn)
         zeros = np.zeros(runs, dtype=ctx.energy_dtype)
-        feas, energy = _cim_evaluate(ctx, x, rngs, zeros)
+        feas, energy = _cim_evaluate(ctx, cells.tallies, checks, rngs, zeros)
         if feas is None:
             feas = np.ones(runs, dtype=bool)
     all_feasible = bool(feas.all())
-    track_weight = exact and hycim or record_trajectory  # wsum gates, and shows in dqubo trajectories
+    track_weight = hycim or record_trajectory  # wsum gates, and shows in dqubo trajectories
     passed = None  # None: every proposal passes the gate
     best_e = energy.copy()
     best_x = x.copy()
@@ -382,7 +395,8 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         pos = base + j
         delta = ctx.flip_sign[xf[pos]]
         if track_weight:
-            wn = wsum + delta * ctx.weights[j]
+            np.multiply(delta, ctx.weights[j], out=wn)
+            wn += wsum
         if exact:
             if hycim:
                 passed = wn <= cap
@@ -392,9 +406,8 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
                 col = np.minimum(j, n)
                 e_new = qf + (delta * (fieldf[fbase + col] + ctx.slopes[j] * s2) + ctx.costs[j])
         else:
-            probes = x.copy()
-            probes.reshape(-1)[pos] ^= 1
-            passed, e_new = _cim_evaluate(ctx, probes, rngs, energy)
+            cells.propose(j, delta)
+            passed, e_new = _cim_evaluate(ctx, cells.tallies, checks, rngs, energy)
         # every evaluated proposal counts as seen, accepted or not
         improved = e_new < best_e
         de = e_new - energy
@@ -429,6 +442,8 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
                 field[idx] += d[:, None] * ctx.coupling.take((j if hycim else col)[idx], axis=0)
                 if not hycim:
                     s2[idx] += d * ctx.steps[j[idx]]
+            else:
+                cells.move(moved)  # drift moves too: their proposals were counted unread
         if record_trajectory:
             traj_e[i] = energy
             traj_moved[i] = moved

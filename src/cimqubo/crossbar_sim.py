@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ValidationError
 from .qkp import _as_float, _as_rng, as_bits
 from .transform import QuboMatrix
 
@@ -74,28 +74,111 @@ def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
     return CrossbarModel(rows=rows, scale=scale, offset=q.offset, noise_sigma=noise_sigma)
 
 
+def _pack(configs: np.ndarray, words: int) -> np.ndarray:
+    """(R, dim) 0/1 configurations in the rows' word layout, as (R, words) uint64."""
+    packed = np.zeros((configs.shape[0], 8 * words), dtype=np.uint8)
+    packed[:, : -(-configs.shape[1] // 8)] = np.packbits(configs, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _plane_counts(rows: np.ndarray, bits: np.ndarray, xw: np.ndarray) -> np.ndarray:
+    """Conducting cells per plane of configuration bits, packed as the words xw."""
+    # row i contributes only when x_i = 1, and then cell (i, j) only when x_j = 1
+    selected = rows.compress(bits, axis=0)
+    selected &= xw[:, None]
+    return np.bitwise_count(selected).sum(axis=(0, 1), dtype=np.int64)
+
+
+def _line_layout(model: CrossbarModel) -> tuple[np.ndarray, np.ndarray]:
+    """The lines an annealer's single-bit flips read, as (lines, units).
+
+    lines[j] holds row j and column j of every plane, laid out (dim, 2, words,
+    planes) in the rows' word layout; the column copy has its diagonal cell
+    cleared, so each cell of the two lines is counted once.  units[j] is bit j
+    alone in the same words.  The layout takes at most twice the rows."""
+    rows = model.rows
+    dim, words, planes = rows.shape
+    lines = np.empty((dim, 2, words, planes), dtype=np.uint64)
+    lines[:, 0] = rows
+    for p in range(planes):
+        # cell (i, j) is bit j of row i; the transpose puts it at bit i of line j
+        cells = np.unpackbits(np.ascontiguousarray(rows[:, :, p]).view(np.uint8), axis=1,
+                              count=dim, bitorder="little").T.copy()
+        np.fill_diagonal(cells, 0)
+        lines[:, 1, :, p] = _pack(cells, words)
+    return lines, _pack(np.eye(dim, dtype=np.uint8), words)
+
+
+class _CellTally:
+    """A run's per-plane conducting-cell counts, which vmv_energy reads in
+    place of the configuration they count.  counts is a view into the
+    annealer's array, so a read sees the counts as they stand at the call."""
+
+    __slots__ = ("model", "counts")
+
+    def __init__(self, model: CrossbarModel, counts: np.ndarray):
+        self.model, self.counts = model, counts
+
+
+class _RunCells:
+    """Packed configurations and per-plane cell counts of a block of runs,
+    updated from the flipped bit instead of recounted.
+
+    Flipping bit j switches the cells of row j and column j that the
+    configuration with bit j set selects: the same cells whether the flip sets
+    the bit (delta = +1) or clears it (delta = -1).  So a proposal costs one
+    AND and popcount over the two lines of every run, O(planes x words).
+    tallies[r] reads run r's proposed counts."""
+
+    def __init__(self, model: CrossbarModel, layout, configs: np.ndarray):
+        self.lines, self.units = layout
+        self.words = _pack(configs, self.units.shape[1])
+        self.counts = np.array([_plane_counts(model.rows, bits, xw)
+                                for bits, xw in zip(configs, self.words)])
+        self.proposed = self.counts.copy()  # until the first proposal, the initial counts
+        self.flipped = np.zeros_like(self.words)
+        self.tallies = [_CellTally(model, row) for row in self.proposed]
+
+    def propose(self, j: np.ndarray, delta: np.ndarray) -> None:
+        """Counts of every run with its bit j[r] flipped, into proposed."""
+        self.flipped = self.units.take(j, axis=0)
+        cells = self.lines.take(j, axis=0)
+        cells &= (self.words | self.flipped)[:, None, :, None]
+        runs, planes = self.proposed.shape
+        change = np.bitwise_count(cells).reshape(runs, -1, planes).sum(axis=1, dtype=np.int64)
+        np.multiply(change, delta[:, None], out=self.proposed)
+        self.proposed += self.counts
+
+    def move(self, moved: np.ndarray) -> None:
+        """Take the last proposal of every run where moved is set."""
+        where = moved[:, None]
+        np.copyto(self.counts, self.proposed, where=where)
+        np.bitwise_xor(self.words, self.flipped, out=self.words, where=where)
+
+
 def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
     """Read the energy of configuration x.
 
     exact_value is the digital reconstruction x^T q x + offset, counted from
     the conducting cells of every plane: x is packed into the rows' uint64
     words, the rows with x_i = 1 are ANDed with it, and the popcounts summed
-    per plane are exact integers at any dim.  value adds, per conducting cell, a
-    unit-current perturbation eta ~ N(0, noise_sigma) scaled by the cell's
-    plane weight.  The count cells of one plane sum to a single
+    per plane are exact integers at any dim.  An annealer passes, in place of
+    x, its run's tally of those counts, which it keeps from flip to flip; the
+    read then counts nothing and does the rest.  value adds, per conducting
+    cell, a unit-current perturbation eta ~ N(0, noise_sigma) scaled by the
+    cell's plane weight.  The count cells of one plane sum to a single
     N(0, count * noise_sigma^2) draw, so a noisy read takes one Gaussian per
-    plane.  Noiseless readings satisfy value == exact_value; a noisy value
-    past the float64 range raises CapacityError.
+    plane from rng.  Noiseless readings satisfy value == exact_value; a noisy
+    value past the float64 range raises CapacityError.
     """
-    bits = as_bits(x, model.dim)
-    rows, scale = model.rows, model.scale
-    # x in the rows' word layout, as a (words, 1) column against the plane axis
-    packed = np.packbits(bits, bitorder="little").tobytes().ljust(8 * rows.shape[1], b"\0")
-    xw = np.ndarray((rows.shape[1], 1), "<u8", packed)
-    # row i contributes only when x_i = 1, and then cell (i, j) only when x_j = 1
-    selected = rows.compress(bits, axis=0)
-    selected &= xw
-    counts = np.bitwise_count(selected).sum(axis=(0, 1), dtype=np.int64)
+    if isinstance(x, _CellTally):
+        if x.model is not model:
+            raise ValidationError("x", "is the cell tally of another crossbar")
+        counts = x.counts
+    else:
+        bits = as_bits(x, model.dim)
+        counts = _plane_counts(model.rows, bits, _pack(bits[None], model.rows.shape[1])[0])
+    scale = model.scale
     exact = model.offset + int(counts @ scale)
     value = float(exact)
     if model.noise_sigma > 0:

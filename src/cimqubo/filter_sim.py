@@ -110,17 +110,41 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
     return FilterModel(weights=w, unit_drop=unit_drop, config=config, replica_ml=replica_ml)
 
 
+class _WeightTally:
+    """A run's selected weight sum, which filter_check reads in place of the
+    configuration.  wsum is a 0-d view into the annealer's array, so a check
+    sees the sum as it stands at the call."""
+
+    __slots__ = ("model", "wsum")
+
+    def __init__(self, model: FilterModel, wsum: np.ndarray):
+        self.model, self.wsum = model, wsum
+
+
+def _weight_tallies(model: FilterModel, wsums: np.ndarray) -> list[_WeightTally]:
+    """One tally per entry of the int64 vector wsums, each a view of its entry."""
+    return [_WeightTally(model, wsums[r, ...]) for r in range(wsums.shape[0])]
+
+
 def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
     """Compare the working matchline against the noiseless replica; ties pass.
 
-    The working matchline is clamped at zero.  With noise enabled every unit
-    conduction event drops unit_drop * (1 + eta) with eta ~ N(0, noise_sigma);
-    the number of events equals the selected weight sum wsum, so the events'
-    perturbations add up to one Gaussian draw scaled by noise_sigma * sqrt(wsum).
-    A noisy drop past the float64 range raises CapacityError.
+    The selected weight sum wsum is w.x.  An annealer passes, in place of x,
+    its run's tally of wsum, which it keeps from flip to flip; the check then
+    sums nothing and does the rest.  The working matchline is clamped at zero.
+    With noise enabled every unit conduction event drops unit_drop * (1 + eta)
+    with eta ~ N(0, noise_sigma); the number of events equals wsum, so the
+    events' perturbations add up to one Gaussian draw from rng scaled by
+    noise_sigma * sqrt(wsum).  A noisy drop past the float64 range raises
+    CapacityError.
     """
     sigma = model.config.noise_sigma
-    wsum = int(model.weights @ as_bits(x, model.weights.shape[0]))
+    if isinstance(x, _WeightTally):
+        if x.model is not model:
+            raise ValidationError("x", "is the weight tally of another filter")
+        wsum = int(x.wsum)
+    else:
+        wsum = int(model.weights @ as_bits(x, model.weights.shape[0]))
     drop = model.unit_drop * float(wsum)
     if sigma > 0 and wsum > 0:
         eta = _as_rng(rng).standard_normal() * sigma * math.sqrt(wsum)

@@ -55,7 +55,8 @@ from cimqubo import (
     vmv_energy,
 )
 from cimqubo import anneal
-from cimqubo.filter_sim import VDD
+from cimqubo.crossbar_sim import _line_layout, _RunCells
+from cimqubo.filter_sim import VDD, _weight_tallies
 from cimqubo.transform import _flip_magnitudes, _penalty_bound, _penalty_flip_terms
 
 from conftest import (
@@ -362,6 +363,94 @@ def test_packed_read_counts_match_plain_loops(dim, signs, fill, peak, seed):
     assert reading.exact_value == ref_qubo_energy(q.q.tolist(), x.tolist(), q.offset)
     assert reading.value == reading.exact_value
     assert reading.activated_cells == sum(ref_plane_counts(q.q.tolist(), x.tolist()))
+
+
+def kept_counts(q, x):
+    """ref_plane_counts as the crossbar keeps them: the zero matrix has one all-zero plane."""
+    return ref_plane_counts(q, x) or [0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(dim=st.integers(1, 40), signs=st.sampled_from(sorted(SIGNS)), peak=st.sampled_from([1, 40]),
+       seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(*[st.booleans()] * 4), min_size=1, max_size=5))
+# word boundaries, a flip and its flip back, and the zero matrix's one negative stack
+@example(dim=1, signs="mixed", peak=40, seed=1, steps=[(False, True, True, True)] * 3)
+@example(dim=63, signs="mixed", peak=40, seed=2, steps=[(False, True, True, True)] * 4)
+@example(dim=64, signs="positive", peak=40, seed=3, steps=[(True, True, False, False)] * 3)
+@example(dim=65, signs="negative", peak=40, seed=4, steps=[(False, True, True, True)] * 3)
+@example(dim=129, signs="mixed", peak=40, seed=5, steps=[(False, True, True, True)] * 2)
+@example(dim=129, signs="zero", peak=1, seed=6, steps=[(False, True, True, False)] * 3)
+def test_kept_cell_counts_follow_single_flip_walks(dim, signs, peak, seed, steps):
+    # two runs walk by single flips: each step flips a fresh bit or, with back set, the
+    # run's last one again, and the run takes the proposal or leaves it
+    rng = np.random.default_rng(seed)
+    low, high = SIGNS[signs]
+    q = rng.integers(low * peak, high * peak + 1, size=(dim, dim))  # the diagonal included
+    model = program_crossbar(QuboMatrix(q))
+    x = rng.integers(0, 2, size=(2, dim), dtype=np.int8)
+    cells = _RunCells(model, _line_layout(model), x)
+    qs, runs = q.tolist(), np.arange(2)
+    assert cells.counts.tolist() == [kept_counts(qs, bits.tolist()) for bits in x]
+    last = rng.integers(0, dim, size=2)
+    for back0, take0, back1, take1 in steps:
+        j = np.where([back0, back1], last, rng.integers(0, dim, size=2))
+        proposal = x.copy()
+        proposal[runs, j] ^= 1
+        cells.propose(j, 1 - 2 * x[runs, j].astype(np.int64))
+        assert cells.proposed.tolist() == [kept_counts(qs, bits.tolist()) for bits in proposal]
+        moved = np.array([take0, take1])
+        cells.move(moved)
+        x[moved] = proposal[moved]
+        last = j
+        assert cells.counts.tolist() == [kept_counts(qs, bits.tolist()) for bits in x]
+    # a read of a run's tally sees its proposed counts
+    reading = vmv_energy(model, cells.tallies[1])
+    assert reading.exact_value == ref_qubo_energy(qs, proposal[1].tolist())
+    with pytest.raises(ValidationError, match="^x: "):
+        vmv_energy(program_crossbar(QuboMatrix(q)), cells.tallies[0])
+
+
+@common
+@given(inst=instances(), mode=st.sampled_from(sorted(BUILDS)), seed=st.integers(0, 2**32 - 1),
+       bits=st.lists(st.integers(0, 1), min_size=32, max_size=32))
+# an over-weight start, which drifts without a read before it is feasible
+@example(inst=make_instance([[3, 1, 0], [1, 2, 1], [0, 1, 4]], [3, 3, 3], 4), mode="hycim", seed=5,
+         bits=[1] * 32)
+def test_array_tallies_are_the_annealed_configurations(inst, mode, seed, bits):
+    # every check and read of a behavioral run sees the weight sum and the cell counts
+    # of the configuration it judges: the initial state, then each proposal in turn
+    problem = BUILDS[mode](inst)
+    schedule = AnnealSchedule(iterations=20, t_start=30.0, t_end=3.0)
+    initial = bits[: problem.dim]
+    seen = {"filter_check": [], "vmv_energy": []}
+
+    def spy(name, look):
+        call = getattr(anneal, name)
+
+        def wrapped(model, tally, rng):
+            seen[name].append(look(tally))
+            return call(model, tally, rng)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anneal, "filter_check", spy("filter_check", lambda t: int(t.wsum)))
+        patch.setattr(anneal, "vmv_energy", spy("vmv_energy", lambda t: t.counts.tolist()))
+        sa_run(problem, "behavioral-cim", schedule, initial, seed)
+    configs = [initial] + ref_anneal(problem, schedule, initial, seed)["proposals"]
+    weights = [ref_weight(inst.weights.tolist(), c[: inst.n]) for c in configs]
+    if mode == "hycim":
+        assert seen["filter_check"] == weights
+        configs = [c for c, w in zip(configs, weights) if w <= inst.capacity]
+    else:
+        assert seen["filter_check"] == []
+    q = problem.qubo.q.tolist()
+    assert seen["vmv_energy"] == [kept_counts(q, c) for c in configs]
+    filt = build_filter(inst.weights, inst.capacity)
+    tally = _weight_tallies(filt, np.array([weights[0]]))[0]
+    assert filter_check(filt, tally).feasible == (weights[0] <= inst.capacity)
+    with pytest.raises(ValidationError, match="^x: "):
+        filter_check(build_filter(inst.weights, inst.capacity), tally)
 
 
 @st.composite

@@ -4,6 +4,7 @@ every option and import has a use."""
 import ast
 import copy
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import pickle
@@ -33,6 +34,9 @@ PARAMETERS = {
                                "iterations", "alpha", "beta", "jobs"],
     bench.filter_suite: ["instances", "configs_per_instance", "seed"],
     bench.overhead_report: ["instance", "alpha", "beta"],
+    # the annealer passes its private tallies as x, through no option
+    crossbar_sim.vmv_energy: ["model", "x", "rng"],
+    filter_sim.filter_check: ["model", "x", "rng"],
     filter_sim.sample_balanced_configs: ["weights", "capacity", "num_feasible",
                                          "num_infeasible", "seed"],
     qkp.load_instance: ["path"],
@@ -138,6 +142,20 @@ def test_programmed_quantities_are_stored_once():
     assert fields[filter_sim.FilterModel] == {"weights", "unit_drop", "config", "replica_ml"}
     assert fields[transform.InequalityQuboModel] == {"instance"}
     assert fields[transform.DQuboModel] == {"instance", "alpha", "beta"}
+
+
+def test_array_records_and_models_keep_their_fields():
+    # the annealer keeps its array tallies itself: a read and a check return the
+    # same records, and the programmed crossbar caches nothing for them
+    assert list(crossbar_sim.EnergyReading.__dataclass_fields__) == [
+        "value", "exact_value", "activated_cells"]
+    assert list(filter_sim.FilterDecision.__dataclass_fields__) == [
+        "working_ml", "replica_ml", "feasible"]
+    model = crossbar_sim.CrossbarModel
+    assert list(model.__dataclass_fields__) == ["rows", "scale", "offset", "noise_sigma"]
+    derived = [name for name, value in vars(model).items()
+               if isinstance(value, (property, functools.cached_property))]
+    assert derived == ["dim"]
 
 
 def test_run_records_have_slots():
