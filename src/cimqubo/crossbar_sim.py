@@ -81,11 +81,14 @@ def _pack(configs: np.ndarray, words: int) -> np.ndarray:
     return packed.view("<u8")
 
 
-def _plane_counts(rows: np.ndarray, bits: np.ndarray, xw: np.ndarray) -> np.ndarray:
-    """Conducting cells per plane of configuration bits, packed as the words xw."""
+def _plane_counts(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Conducting cells per plane of configuration bits."""
+    # x in the rows' word layout, as a (words, 1) column against the plane axis
+    packed = np.packbits(bits, bitorder="little").tobytes().ljust(8 * rows.shape[1], b"\0")
+    xw = np.ndarray((rows.shape[1], 1), "<u8", packed)
     # row i contributes only when x_i = 1, and then cell (i, j) only when x_j = 1
     selected = rows.compress(bits, axis=0)
-    selected &= xw[:, None]
+    selected &= xw
     return np.bitwise_count(selected).sum(axis=(0, 1), dtype=np.int64)
 
 
@@ -133,8 +136,7 @@ class _RunCells:
     def __init__(self, model: CrossbarModel, layout, configs: np.ndarray):
         self.lines, self.units = layout
         self.words = _pack(configs, self.units.shape[1])
-        self.counts = np.array([_plane_counts(model.rows, bits, xw)
-                                for bits, xw in zip(configs, self.words)])
+        self.counts = np.array([_plane_counts(model.rows, bits) for bits in configs])
         self.proposed = self.counts.copy()  # until the first proposal, the initial counts
         self.flipped = np.zeros_like(self.words)
         self.tallies = [_CellTally(model, row) for row in self.proposed]
@@ -176,8 +178,7 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
             raise ValidationError("x", "is the cell tally of another crossbar")
         counts = x.counts
     else:
-        bits = as_bits(x, model.dim)
-        counts = _plane_counts(model.rows, bits, _pack(bits[None], model.rows.shape[1])[0])
+        counts = _plane_counts(model.rows, as_bits(x, model.dim))
     scale = model.scale
     exact = model.offset + int(counts @ scale)
     value = float(exact)
