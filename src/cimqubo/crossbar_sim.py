@@ -83,7 +83,8 @@ def _pack(configs: np.ndarray, words: int) -> np.ndarray:
 
 def _plane_counts(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Conducting cells per plane of configuration bits."""
-    # x in the rows' word layout, as a (words, 1) column against the plane axis
+    # x in the rows' word layout, as a (words, 1) column against the plane axis;
+    # through bytes, since _pack's padded block costs more for one vector
     packed = np.packbits(bits, bitorder="little").tobytes().ljust(8 * rows.shape[1], b"\0")
     xw = np.ndarray((rows.shape[1], 1), "<u8", packed)
     # row i contributes only when x_i = 1, and then cell (i, j) only when x_j = 1
@@ -98,7 +99,8 @@ def _line_layout(model: CrossbarModel) -> tuple[np.ndarray, np.ndarray]:
     lines[j] holds row j and column j of every plane, laid out (dim, 2, words,
     planes) in the rows' word layout; the column copy has its diagonal cell
     cleared, so each cell of the two lines is counted once.  units[j] is bit j
-    alone in the same words.  The layout takes at most twice the rows."""
+    alone in the same words.  lines take twice the rows' memory, units one
+    plane's."""
     rows = model.rows
     dim, words, planes = rows.shape
     lines = np.empty((dim, 2, words, planes), dtype=np.uint64)
