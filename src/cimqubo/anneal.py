@@ -33,13 +33,13 @@ every draw, from one generator that takes each run's state in turn.
 _run_seeds is the (1, i, r) case of _spawn_seeds, which bench.filter_suite
 also calls with the one-word keys (k,) of its instances.
 
-The exact backend never expands a model's matrix.  In hycim mode its fields
-are the n item fields of x^T q x, coupled by transform._profit_fold.  In dqubo
-mode it anneals the factored penalty of transform._penalty_flip_terms, keeping
-per run n + 1 fields (the profit fields and 2 alpha (sum y - 1)) and 2 beta s,
-so per-iteration work and kept memory do not grow with C.  flip_scale and the
-bound below come from transform._flip_magnitudes, which sums the magnitudes
-of the matrix's coefficients from the same folds.
+The exact backend never expands a model's matrix.  In both modes it anneals
+the factored penalty of transform._penalty_flip_terms, keeping per run n + 1
+fields (the profit fields and 2 alpha (sum y - 1)) and 2 beta s, so work and
+kept memory do not grow with C; hycim is the fold at alpha = beta = 0 with no
+slack bits, whose proposals skip the zero slope and cost terms.  flip_scale
+and the bound below come from transform._flip_magnitudes, which sums the
+magnitudes of the matrix's coefficients from the same fold.
 
 Proposals flip one uniformly chosen bit.  A proposal is accepted when its
 energy change dE satisfies dE <= 0, otherwise with probability exp(-dE / T)
@@ -77,9 +77,9 @@ from .transform import (
     DQuboModel,
     InequalityQuboModel,
     _flip_magnitudes,
+    _fold_weights,
     _penalty_bound,
     _penalty_flip_terms,
-    _profit_fold,
     build_dqubo,
     build_inequality_qubo,
 )
@@ -265,16 +265,16 @@ class _Context:
         self.backend = backend
         self.instance = problem.instance
         self.dim = problem.dim
-        self.offset = problem.alpha if self.mode == MODE_DQUBO else 0
+        alpha, beta, counts = _fold_weights(problem)
+        self.offset = alpha
         self.weights = np.zeros(self.dim, dtype=np.int64)  # slack bits weigh nothing
         self.weights[: self.instance.n] = self.instance.weights
         self.iterations = schedule.iterations
         self.temps = schedule.temperatures()
         # the lane holds every quantity the loop keeps: energies, fields, thresholds, fold terms
         lane_bound = bound
-        factored = backend == BACKEND_EXACT and self.mode == MODE_DQUBO
-        if factored:
-            lane_bound = 2 * _penalty_bound(self.instance, problem.alpha, problem.beta)
+        if backend == BACKEND_EXACT and self.mode == MODE_DQUBO:
+            lane_bound = 2 * _penalty_bound(self.instance, alpha, beta)
             if lane_bound > np.iinfo(np.int64).max:
                 raise ConfigurationError(
                     f"factored penalty terms up to {lane_bound} overflow 64-bit arithmetic"
@@ -288,13 +288,11 @@ class _Context:
         # and capped at bound + 1 as the least integer float above bound (2^53 + 1 rounds down)
         self.threshold_clip = ((_LEAST_POSITIVE, math.inf) if self.crossbar_noisy
                                else (1, math.ceil(math.nextafter(bound, math.inf))))
-        if factored:
-            self.beta = problem.beta
+        if backend == BACKEND_EXACT:
+            self.beta = beta
             self.coupling, self.diag, self.slopes, self.costs = _penalty_flip_terms(
-                self.instance, problem.alpha, problem.beta, lane)
-            self.steps = 2 * problem.beta * self.slopes  # moves of 2 beta s
-        elif backend == BACKEND_EXACT:
-            self.coupling, self.diag = _profit_fold(self.instance, lane)
+                self.instance, alpha, beta, counts, lane)
+            self.steps = 2 * beta * self.slopes  # moves of 2 beta s
         else:
             self.crossbar = program_crossbar(problem.qubo, noise_sigma=crossbar_noise_sigma)
             self.layout = _line_layout(self.crossbar)
@@ -356,16 +354,15 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     wsum = x @ ctx.weights
     wn = wsum.copy()  # weight sums of the proposals, which the filter's tallies read
     if exact:
-        # hycim fields cover the bits; dqubo fields cover the items and the slack count
-        z = x if hycim else np.column_stack([x[:, :n], x[:, n:].sum(axis=1)])
+        # the fields cover the items and the slack count, which is 0 in hycim mode
+        z = np.column_stack([x[:, :n], x[:, n:].sum(axis=1)])
         field = np.matmul(z, ctx.coupling, dtype=np.int64) + ctx.diag
-        # x^T q x, or the penalty energy less beta s^2, is sum_j z_j (field_j + diag_j) / 2
-        # plus the offset, summed in int64 since it may pass the lane
+        # the penalty energy less beta s^2 is sum_j z_j (field_j + diag_j) / 2 plus the
+        # offset, summed in int64 since it may pass the lane
         qf = np.einsum("ri,ri->r", field + ctx.diag, z) // 2 + ctx.offset
-        if not hycim:
-            s = np.matmul(x, ctx.slopes, dtype=np.int64)  # w.x - sum_k k y_k
-            qf += ctx.beta * s * s
-            s2 = (2 * ctx.beta * s).astype(ctx.energy_dtype)
+        s = np.matmul(x, ctx.slopes, dtype=np.int64)  # w.x - sum_k k y_k
+        qf += ctx.beta * s * s
+        s2 = (2 * ctx.beta * s).astype(ctx.energy_dtype)
         field, qf = field.astype(ctx.energy_dtype), qf.astype(ctx.energy_dtype)
         fieldf = field.reshape(-1)
         fbase = np.arange(runs) * field.shape[1]
@@ -398,9 +395,10 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
             np.multiply(delta, ctx.weights[j], out=wn)
             wn += wsum
         if exact:
-            if hycim:
+            if hycim:  # no slack bits, and no slope or cost terms
                 passed = wn <= cap
-                e_new = qf + delta * fieldf[pos]
+                col = j
+                e_new = qf + delta * fieldf[fbase + j]
             else:
                 # all slack bits read the count column; the change is summed before it meets qf
                 col = np.minimum(j, n)
@@ -439,7 +437,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
                 # the coupling is symmetric, so a row is the column its bit couples through;
                 # rows are at most n + 1 wide, so one signed add beats adds split by sign
                 d = delta[idx]
-                field[idx] += d[:, None] * ctx.coupling.take((j if hycim else col)[idx], axis=0)
+                field[idx] += d[:, None] * ctx.coupling.take(col[idx], axis=0)
                 if not hycim:
                     s2[idx] += d * ctx.steps[j[idx]]
             else:

@@ -186,7 +186,8 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
     value = float(exact)
     if model.noise_sigma > 0:
         eta = _as_rng(rng).standard_normal(scale.size) * np.sqrt(counts)
-        value += model.noise_sigma * float(eta @ scale)
+        # exact products (the scales are +-2^b) in numpy's pairwise sum, which no BLAS reorders
+        value += model.noise_sigma * float(np.add.reduce(eta * scale))
         if not math.isfinite(value):
             raise CapacityError(f"noisy reading {value} at noise_sigma {model.noise_sigma} "
                                 "is not a finite float64")

@@ -8,12 +8,16 @@ Two formulations of the same problem:
   -sum p_ij x_i x_j + alpha (sum_k y_k - 1)^2 + beta (sum_i w_i x_i - sum_k k y_k)^2
   with the constant alpha carried in the matrix offset.
 
-Matrix energies are evaluated as x^T q x + offset.  The inequality matrix is
+The inequality form is the penalty form (the slack encoding of Lucas, Front.
+Phys. 2:5, 2014, sec. 5.2) with the slack bits and the penalty taken out, as
+the filter keeps the constraint.  So one fold, _penalty_flip_terms, writes
+both: the inequality form is that fold at alpha = beta = 0 with no slack
+counts (_fold_weights).  Matrix energies are evaluated as x^T q x + offset.  The inequality matrix is
 symmetric and counts both orderings of a pair; the penalty matrix keeps the
 full folded coefficient of each pair in the upper triangle so that a single
 cell holds the whole coupling.  A model holds only its instance (and the
 penalty weights) and expands its matrix when .qubo is first read;
-_flip_magnitudes gives the annealer what it needs of the matrix from the folds.
+_flip_magnitudes gives the annealer what it needs of the matrix from the fold.
 """
 from __future__ import annotations
 
@@ -81,7 +85,7 @@ class QuboMatrix:
 class InequalityQuboModel:
     """Profit matrix negated into a QUBO, constraint handled by the filter.
 
-    qubo, -profits with offset 0 (the profit fold's coupling halved, its
+    qubo, -profits with offset 0 (the fold's item coupling halved, its
     diagonal on the diagonal), is expanded when first read."""
 
     instance: QkpInstance
@@ -131,7 +135,7 @@ class DQuboModel:
 
     @functools.cached_property
     def qubo(self) -> QuboMatrix:
-        q = _penalty_matrix(self.instance, self.alpha, self.beta)
+        q = _penalty_matrix(self.instance, *_fold_weights(self))
         q.setflags(write=False)  # QuboMatrix keeps it without a copy
         return QuboMatrix(q, offset=self.alpha)
 
@@ -155,37 +159,28 @@ def _penalty_bound(instance: QkpInstance, alpha: int, beta: int) -> int:
             + beta * (instance.total_weight + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
 
 
-def _profit_fold(instance: QkpInstance, dtype=np.int64):
-    """-x^T p x as (coupling, diag): -2 p_il couples distinct items i, l and
-    -p_ii sits on item i's diagonal."""
-    p = instance.profits.astype(dtype)
-    coupling = -2 * p
-    np.fill_diagonal(coupling, 0)  # the doubled profit diagonal may wrap; it is discarded
-    return coupling, -np.diagonal(p)
+def _fold_weights(model: InequalityQuboModel | DQuboModel) -> tuple[int, int, range]:
+    """(alpha, beta, slack counts) of a model's fold: its penalty weights and
+    counts 1 ... C, or alpha = beta = 0 and no counts for the inequality form."""
+    alpha, beta = (model.alpha, model.beta) if isinstance(model, DQuboModel) else (0, 0)
+    return alpha, beta, range(1, model.dim - model.instance.n + 1)
 
 
-def _penalty_fold(instance: QkpInstance, alpha: int, beta: int, dtype=np.int64, counts=None):
-    """beta s^2 + alpha (sum y - 1)^2 as (slopes, costs): s = v.(x, y), v = (w,
-    -k for each slack count k, by default 1 ... C), and costs_j = beta v_j^2 +
-    alpha [j >= n] is the part of a flip of bit j that no other bit changes."""
-    counts = np.arange(1, instance.capacity + 1) if counts is None else counts
-    slopes = np.concatenate([instance.weights, -np.asarray(counts, dtype=np.int64)]).astype(dtype)
-    costs = beta * slopes * slopes
-    costs[instance.n:] += alpha
-    return slopes, costs
-
-
-def _penalty_flip_terms(instance: QkpInstance, alpha: int, beta: int, dtype=np.int64, counts=None):
-    """The penalty energy factored for single-bit flips, as (coupling, diag,
-    slopes, costs), without the (n + C)^2 matrix.
+def _penalty_flip_terms(instance: QkpInstance, alpha: int, beta: int, counts, dtype=np.int64):
+    """The one fold that writes every coefficient: the penalty energy over the
+    given slack counts k, factored for single-bit flips as (coupling, diag,
+    slopes, costs) without the (n + C)^2 matrix.
 
     Write z = (x, sum_k y_k) for the n item bits and the slack count.  The
-    (n + 1)^2 coupling is the profit fold with 2 alpha in its count corner,
-    diag = (-p_ii, -2 alpha), and _penalty_fold gives slopes and costs.  The
+    (n + 1)^2 coupling holds -2 p_il between distinct items and 2 alpha in its
+    count corner, diag = (-p_ii, -2 alpha), the slopes are v = (w, -k for each
+    count) with s = v.(x, y), and costs_j = beta v_j^2 + alpha [j >= n].  The
     field F = z @ coupling + diag gives the energy sum_i z_i (F_i + diag_i) / 2
-    + alpha + beta s^2, and flipping bit j by delta = +-1 changes it by
-    delta (F[min(j, n)] + 2 beta s v_j) + costs_j, while s moves by delta v_j
-    and F by delta coupling[min(j, n)].
+    + alpha + beta s^2, and flipping bit j by delta = +-1 changes it by delta
+    (F[min(j, n)] + 2 beta s v_j) + costs_j, while s moves by delta v_j and F
+    by delta coupling[min(j, n)].  At alpha = beta = 0 with no counts, the
+    inequality form, the count row and column and the costs are 0, and the
+    slopes w meet only beta = 0, so dtype need not hold them.
 
     2 _penalty_bound covers every one of these quantities.  With
     T = sum w + C (C + 1) / 2: |F| <= sum |p_ij| or 2 alpha C, |2 beta s| <=
@@ -193,18 +188,21 @@ def _penalty_flip_terms(instance: QkpInstance, alpha: int, beta: int, dtype=np.i
     within it; every energy, energy change and cost stays within
     _penalty_bound itself.
     """
-    coupling, diag = _profit_fold(instance, dtype)
-    coupling = np.pad(coupling, (0, 1))
+    p = instance.profits.astype(dtype)
+    coupling = np.pad(-2 * p, (0, 1))
+    np.fill_diagonal(coupling, 0)  # the doubled profit diagonal may wrap; it is discarded
     coupling[-1, -1] = 2 * alpha
-    return (coupling, np.pad(diag, (0, 1), constant_values=-2 * alpha),
-            *_penalty_fold(instance, alpha, beta, dtype, counts))
+    slopes = np.concatenate([instance.weights, -np.asarray(counts, dtype=np.int64)]).astype(dtype)
+    costs = beta * slopes * slopes
+    costs[instance.n:] += alpha
+    return coupling, np.pad(-np.diagonal(p), (0, 1), constant_values=-2 * alpha), slopes, costs
 
 
-def _penalty_matrix(instance: QkpInstance, alpha: int, beta: int, dtype=np.int64, counts=None):
+def _penalty_matrix(instance: QkpInstance, alpha: int, beta: int, counts, dtype=np.int64):
     """The penalty objective expanded from its flip terms, squares folded onto
     the diagonal by v^2 = v: pair j < l holds 2 beta v_j v_l plus coupling of
     columns min(j, n), min(l, n), and diagonal j costs_j + diag[min(j, n)]."""
-    coupling, diag, slopes, costs = _penalty_flip_terms(instance, alpha, beta, dtype, counts)
+    coupling, diag, slopes, costs = _penalty_flip_terms(instance, alpha, beta, counts, dtype)
     n, dim = instance.n, len(slopes)
     q = np.zeros((dim, dim), dtype=dtype)
     q[:n, :n] = np.triu(2 * beta * np.outer(slopes[:n], slopes[:n]) + coupling[:n, :n])
@@ -225,34 +223,30 @@ def build_dqubo(
 
 
 def _flip_magnitudes(model: InequalityQuboModel | DQuboModel) -> tuple[np.ndarray, np.ndarray, int]:
-    """(cols, diag, bound) of model.qubo, from the folds without the matrix:
+    """(cols, diag, bound) of model.qubo, from its fold without the matrix:
     cols_j = sum over i != j of |(q + q^T)_ij| as float64, diag_j = |q_jj| as
     int64, and bound = sum |q_ij| + |offset| exactly.
 
-    The inequality form's cols are the column sums of the profit fold's
-    |coupling| and its bound is sum p_ij.  Each pair of the penalty form sits
-    in one triangle and holds 2 beta v_j v_l + coupling[min(j, n), min(l, n)]
-    (see _penalty_matrix): 2 beta w_i w_l - 2 p_il for two items, -2 beta w_i k
-    for item i and count k, 2 beta k m + 2 alpha for counts k != m.  So count
-    k's column is 2 beta k (sum w + C (C + 1) / 2 - k) + 2 alpha (C - 1), the
-    counts add beta w_l C (C + 1) to item l's, and bound = sum cols / 2 + sum
-    diag + alpha.  Every column stays within the bound DQuboModel guards below
-    2^63, so int64 holds it; inequality columns past int64 are Python ints."""
-    inst = model.instance
-    if isinstance(model, InequalityQuboModel):
-        bound = _exact_sum(inst.profits.astype(np.uint64))
-        coupling, diag = _profit_fold(inst, np.int64 if 2 * bound <= _INT64_MAX else object)
-        return np.abs(coupling).sum(axis=0).astype(np.float64), np.abs(diag).astype(np.int64), bound
-    n, C, alpha, beta = inst.n, inst.capacity, model.alpha, model.beta
-    coupling, diag, slopes, costs = _penalty_flip_terms(inst, alpha, beta)
+    Each pair sits in one triangle and holds 2 beta v_j v_l + coupling[min(j,
+    n), min(l, n)] (see _penalty_matrix; the inequality form's symmetric q
+    splits the same sum over both triangles): 2 beta w_i w_l - 2 p_il for two
+    items, -2 beta w_i k for item i and count k, 2 beta k m + 2 alpha for
+    counts k != m.  With K = sum k over the C counts, count k's column is
+    2 beta k (sum w + K - k) + 2 alpha (C - 1), the counts add 2 beta w_l K to
+    item l's, and bound = sum cols / 2 + sum diag + alpha.  The terms are
+    int64 while twice their bound fits, as every column does, else Python ints."""
+    inst, n = model.instance, model.instance.n
+    alpha, beta, counts = _fold_weights(model)
+    dtype = np.int64 if 2 * _penalty_bound(inst, alpha, beta) <= _INT64_MAX else object
+    coupling, diag, slopes, costs = _penalty_flip_terms(inst, alpha, beta, counts, dtype)
     items = 2 * beta * np.outer(slopes[:n], slopes[:n]) + coupling[:n, :n]
     np.fill_diagonal(items, 0)
-    counts = -slopes[n:]
-    cols = np.concatenate([np.abs(items).sum(axis=0) + beta * inst.weights * C * (C + 1),
-                           2 * beta * counts * (inst.total_weight + C * (C + 1) // 2 - counts)
-                           + 2 * alpha * (C - 1)])
-    diag = np.abs(costs + diag[np.minimum(np.arange(n + C), n)])
-    return (cols.astype(np.float64), diag,
+    k, K = -slopes[n:], sum(counts)  # 2 beta (sum w + K) is 0 where sum w may pass int64
+    cols = np.concatenate([np.abs(items).sum(axis=0) + 2 * beta * K * slopes[:n],
+                           (2 * beta * (inst.total_weight + K) - 2 * beta * k) * k
+                           + 2 * alpha * (len(k) - 1)])
+    diag = np.abs(costs + diag[np.minimum(np.arange(len(slopes)), n)])
+    return (cols.astype(np.float64), diag.astype(np.int64),
             sum(cols.tolist()) // 2 + sum(diag.tolist()) + alpha)
 
 
@@ -263,7 +257,7 @@ def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> Qua
     build's dimension and 64-bit limits."""
     _as_instance(instance)
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
-    q = _penalty_matrix(instance, alpha, beta, object, range(1, instance.capacity + 1)[-2:])
+    q = _penalty_matrix(instance, alpha, beta, range(1, instance.capacity + 1)[-2:], object)
     return _quantization(int(np.abs(q).max()))
 
 

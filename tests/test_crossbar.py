@@ -1,10 +1,16 @@
 """Bit-plane programming and vector-matrix-vector reads."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cimqubo
 from cimqubo import (
     CapacityError,
     QuboMatrix,
@@ -211,3 +217,34 @@ def test_a_noisy_read_past_float64_raises():
             assert "not a finite float64" in str(exc)
             raised += 1
     assert raised
+
+
+def noisy_read_digest():
+    """sha256 of 2,000 noisy reads (sigma 0.02) of a 64 x 64 mixed-sign
+    crossbar with 40 planes.  Summed by a BLAS dot, these reads differ between
+    OpenBLAS kernels (SkylakeX, Haswell and Prescott give three digests), so
+    they pin the order of the per-plane noise sum."""
+    rng = np.random.default_rng(3)
+    model = program_crossbar(QuboMatrix(rng.integers(-2**20, 2**20, (64, 64))), noise_sigma=0.02)
+    assert model.scale.size == 40
+    h = hashlib.sha256()
+    for _ in range(2000):
+        h.update(np.float64(vmv_energy(model, rng.integers(0, 2, 64), rng).value).tobytes())
+    return h.hexdigest()
+
+
+NOISY_READ_DIGEST = "2c612ea29bebc053909a1ed66a420f2b1cdd8225a6b4473f44b7e7ce548d42c5"
+
+
+def test_noisy_reads_are_pinned():
+    assert noisy_read_digest() == NOISY_READ_DIGEST
+
+
+def test_noisy_reads_do_not_depend_on_the_blas_kernel():
+    # the variable picks the kernel of a fresh process only, so the reads run in a child
+    path = os.pathsep.join([str(Path(cimqubo.__file__).parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
+    child = subprocess.run(
+        [sys.executable, "-c", "from test_crossbar import noisy_read_digest; print(noisy_read_digest())"],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == NOISY_READ_DIGEST

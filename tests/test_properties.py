@@ -57,7 +57,7 @@ from cimqubo import (
 from cimqubo import anneal
 from cimqubo.crossbar_sim import _line_layout, _RunCells
 from cimqubo.filter_sim import VDD, _weight_tallies
-from cimqubo.transform import _flip_magnitudes, _penalty_bound, _penalty_flip_terms
+from cimqubo.transform import _flip_magnitudes, _fold_weights, _penalty_bound, _penalty_flip_terms
 
 from conftest import (
     make_instance,
@@ -279,13 +279,18 @@ def test_dqubo_closed_form_quantization_matches_built_matrix(inst, alpha, beta):
 
 
 @common
-@given(inst=instances(), alpha=st.integers(1, 300), beta=st.integers(1, 20),
-       bits=st.lists(st.integers(0, 1), min_size=32, max_size=32), j=st.integers(0, 31))
-@example(inst=CANCEL_INT32, alpha=2, beta=1, bits=[1, 1, 0, 1, 0], j=4)
-@example(inst=CANCEL_FLOAT, alpha=2, beta=1, bits=[1, 1, 1, 0, 1], j=1)
-def test_factored_flip_change_equals_the_matrix_energy_change(inst, alpha, beta, bits, j):
-    model = build_dqubo(inst, alpha, beta)
-    coupling, diag, slopes, costs = (t.tolist() for t in _penalty_flip_terms(inst, alpha, beta))
+@given(inst=instances(), mode=st.sampled_from(sorted(BUILDS)), alpha=st.integers(1, 300),
+       beta=st.integers(1, 20), bits=st.lists(st.integers(0, 1), min_size=32, max_size=32),
+       j=st.integers(0, 31))
+@example(inst=CANCEL_INT32, mode="dqubo", alpha=2, beta=1, bits=[1, 1, 0, 1, 0], j=4)
+@example(inst=CANCEL_FLOAT, mode="dqubo", alpha=2, beta=1, bits=[1, 1, 1, 0, 1], j=1)
+def test_factored_flip_change_equals_the_matrix_energy_change(inst, mode, alpha, beta, bits, j):
+    if mode == "hycim":  # the inequality form is the fold with no penalty and no slack counts
+        model, alpha, beta, counts = build_inequality_qubo(inst), 0, 0, range(1, 1)
+    else:
+        model, counts = build_dqubo(inst, alpha, beta), range(1, inst.capacity + 1)
+    assert _fold_weights(model) == (alpha, beta, counts)
+    coupling, diag, slopes, costs = (t.tolist() for t in _penalty_flip_terms(inst, alpha, beta, counts))
     bound = 2 * _penalty_bound(inst, alpha, beta)
     n, dim = inst.n, model.qubo.dim
     x, j = bits[:dim], j % dim

@@ -22,7 +22,7 @@ REMOVED = {
     "constrained_energy", "linearity_sweep", "WeightPlane", "ReplicaConfig",
     "decompose_weights", "build_replica", "evaluate_ml",
     "qkp_objective", "qkp_weight", "is_feasible", "bits", "reconstruct", "vdd", "unit_drop",
-    "energy_bound",
+    "energy_bound", "_profit_fold", "_penalty_fold",
 }
 
 # the full parameter lists of the functions that lost an option: the option
