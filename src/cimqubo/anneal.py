@@ -25,12 +25,12 @@ backends return identical records.
 
 A run's seed and generator are numpy's: run (i, r) of a batch has seed
 SeedSequence(master_seed, spawn_key=(1, i, r)).generate_state(1, uint64) and
-draws from default_rng(seed).  Neither is called per run.  _run_seeds and
-_generator_states derive every run seed and PCG64 (state, inc) of a block in
-one vectorized pass over the fixed SeedSequence hash rounds and the PCG64
-seeding steps, and the property tests check both against numpy.  numpy makes
-every draw, from one generator that takes each run's state in turn.
-_run_seeds is the (1, i, r) case of _spawn_seeds, which bench.filter_suite
+draws from default_rng(seed).  Neither is called per run.  _seed_table and
+_generator_states derive every run seed of a batch and PCG64 (state, inc) of
+a block in one vectorized pass over the fixed SeedSequence hash rounds and the
+PCG64 seeding steps, and the property tests check both against numpy.  numpy
+makes every draw, from one generator that takes each run's state in turn.
+Run seeds are the (1, i, r) keys of _spawn_seeds, which bench.filter_suite
 also calls with the one-word keys (k,) of its instances.
 
 The exact backend never expands a model's matrix.  In both modes it anneals
@@ -68,10 +68,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar_sim import _line_layout, _RunCells, program_crossbar, vmv_energy
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, _check_config, _weight_tallies, build_filter, filter_check
-from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float,
-                  _as_instance, _as_int, _fields_equal, as_bits)
+from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float, _as_int,
+                  _fields_equal, as_bits)
 from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
@@ -161,11 +161,6 @@ def _spawn_seeds(master_seed: int, *key) -> np.ndarray:
     return _seed_words([np.array(word, dtype=np.uint32, ndmin=1) for word in words], 1)[0]
 
 
-def _run_seeds(master_seed: int, initial_index, run_index) -> np.ndarray:
-    """uint64 seed of each run (i, r): the seed of spawn key (1, i, r)."""
-    return _spawn_seeds(master_seed, 1, initial_index, run_index)
-
-
 def _generator_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     """PCG64 (state, inc) of default_rng(seed) for each uint64 seed: a 256-bit
     SeedSequence output read as (state, sequence), then two LCG steps from 0."""
@@ -243,9 +238,11 @@ class RunRecord:
 
 
 class _Context:
-    """Everything reusable across runs of one (problem, backend, schedule) triple."""
+    """Everything reusable across runs of one (problem, backend, schedule) triple;
+    no schedule means default_schedule(problem)."""
 
-    def __init__(self, problem, backend, schedule, filter_config=None, crossbar_noise_sigma=0.0):
+    def __init__(self, problem, backend, schedule=None, filter_config=None,
+                 crossbar_noise_sigma=0.0):
         crossbar_noise_sigma = _as_float(crossbar_noise_sigma, "crossbar_noise_sigma", 0.0)
         self.mode = _mode_of(problem)
         if backend not in (BACKEND_EXACT, BACKEND_CIM):
@@ -256,6 +253,11 @@ class _Context:
             _check_config(filter_config, "filter_config")
             if backend != BACKEND_CIM:
                 raise ConfigurationError("filter_config needs the behavioral-cim backend")
+        if schedule is None:
+            schedule = default_schedule(problem)
+        elif not isinstance(schedule, AnnealSchedule):
+            raise ValidationError("schedule",
+                                  f"must be an AnnealSchedule, got {type(schedule).__name__}")
         bound = _flip_magnitudes(problem)[2]
         # the thresholds ceil(T g) are exact only for integers up to 2^53
         if bound > _FLOAT_EXACT:
@@ -494,22 +496,16 @@ def sa_run(
     if initial is None:
         raise ConfigurationError("an initial configuration is required")
     seed = _as_int(seed, "seed", 0, _SEED_LIMIT)
-    if schedule is None:
-        schedule = default_schedule(problem)
     ctx = _Context(problem, backend, schedule, filter_config, crossbar_noise_sigma)
     return _anneal(ctx, [initial], [seed], record_trajectory)[0]
 
 
-def _derived_seed(master_seed: int, initial_index: int, run_index: int) -> int:
-    return int(_run_seeds(master_seed, initial_index, run_index)[0])
-
-
 @functools.lru_cache(maxsize=1)  # a study's two modes share one table, and records keep its ints
-def _seed_table(master_seed: int, lo: int, hi: int, runs_per_initial: int) -> tuple[int, ...]:
-    """Seeds of runs (i, r) for lo <= i < hi and r < runs_per_initial, in that order."""
-    initial = np.repeat(np.arange(lo, hi), runs_per_initial)
-    run = np.tile(np.arange(runs_per_initial), hi - lo)
-    return tuple(_run_seeds(master_seed, initial, run).tolist())
+def _seed_table(master_seed: int, num_initials: int, runs_per_initial: int) -> tuple[int, ...]:
+    """Seeds of runs (i, r) for i < num_initials and r < runs_per_initial, in that order."""
+    initial = np.repeat(np.arange(num_initials), runs_per_initial)
+    run = np.tile(np.arange(runs_per_initial), num_initials)
+    return tuple(_spawn_seeds(master_seed, 1, initial, run).tolist())
 
 
 @functools.lru_cache(maxsize=1)  # every batch of one iteration count shares its count ints
@@ -531,21 +527,13 @@ def _build_problem(instance, mode, alpha, beta):
     raise ConfigurationError(f"unknown mode {mode!r}")
 
 
-def _batch_worker(payload):
-    (instance, mode, num_initials, runs_per_initial, schedule, backend, master_seed,
-     alpha, beta, filter_config, crossbar_noise_sigma, lo, hi) = payload
-    problem = _build_problem(instance, mode, alpha, beta)
-    if schedule is None:
-        schedule = default_schedule(problem)
-    ctx = _Context(problem, backend, schedule, filter_config, crossbar_noise_sigma)
-    initials = _draw_initials(master_seed, num_initials, ctx.dim)
-    seeds = _seed_table(master_seed, lo, hi, runs_per_initial)
+def _batch_worker(ctx, initials, runs_per_initial, seeds):
+    """Anneal runs_per_initial runs from each initial, block by block."""
     block = max(1, _BLOCK_DRAWS // ctx.iterations)
     out = []
     for start in range(0, len(seeds), block):
         stop = min(start + block, len(seeds))
-        out += _anneal(ctx, initials[lo + np.arange(start, stop) // runs_per_initial],
-                       seeds[start:stop])
+        out += _anneal(ctx, initials[np.arange(start, stop) // runs_per_initial], seeds[start:stop])
     return out
 
 
@@ -570,28 +558,24 @@ def batch_solve(
     results do not depend on execution order, on lockstep blocking or on the
     jobs worker count.  Records are ordered by (initial_index, run_index).
     """
-    _as_instance(instance)
     num_initials = _as_int(num_initials, "num_initials", 1)
     runs_per_initial = _as_int(runs_per_initial, "runs_per_initial", 1)
     master_seed = _as_int(master_seed, "master_seed", 0, _SEED_LIMIT)
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
-    crossbar_noise_sigma = _as_float(crossbar_noise_sigma, "crossbar_noise_sigma", 0.0)
-    if filter_config is not None:
-        _check_config(filter_config, "filter_config")
     jobs = min(_as_int(jobs, "jobs", 1), num_initials)
-    bounds = np.linspace(0, num_initials, jobs + 1).astype(int).tolist()
-    payloads = [
-        (instance, mode, num_initials, runs_per_initial, schedule, backend,
-         master_seed, alpha, beta, filter_config, crossbar_noise_sigma, lo, hi)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    if len(payloads) == 1:
-        return _batch_worker(payloads[0])
+    ctx = _Context(_build_problem(instance, mode, alpha, beta), backend, schedule,
+                   filter_config, crossbar_noise_sigma)
+    initials = _draw_initials(master_seed, num_initials, ctx.dim)
+    seeds = _seed_table(master_seed, num_initials, runs_per_initial)
+    rows = [k * num_initials // jobs for k in range(jobs + 1)]  # jobs <= num_initials: none empty
+    parts = [(ctx, initials[lo:hi], runs_per_initial,
+              seeds[lo * runs_per_initial:hi * runs_per_initial]) for lo, hi in zip(rows, rows[1:])]
+    if jobs == 1:
+        return _batch_worker(*parts[0])
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        records = [rec for chunk in pool.map(_batch_worker, payloads) for rec in chunk]
+        records = [rec for chunk in pool.map(_batch_worker, *zip(*parts)) for rec in chunk]
     for rec in records:
         rec.best_config.setflags(write=False)  # unpickled arrays come back writeable
     return records

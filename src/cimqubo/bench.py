@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .anneal import (DEFAULT_ITERATIONS, MODE_DQUBO, MODE_HYCIM, _spawn_seeds, batch_solve,
-                     default_schedule)
+from .anneal import (DEFAULT_ITERATIONS, MODE_DQUBO, MODE_HYCIM, _build_problem, _spawn_seeds,
+                     batch_solve, default_schedule)
 from .errors import CapacityError
 from .filter_sim import FilterConfig, build_filter, filter_check, sample_balanced_configs
 from .qkp import _SEED_LIMIT, QkpInstance, _as_instance, _as_int, brute_force_oracle
@@ -136,17 +136,14 @@ def success_rate_study(
     _as_instance(instance)
     optimum = brute_force_oracle(instance).best_value
     threshold = THRESHOLD_FRACTION * optimum
-    h_schedule = default_schedule(build_inequality_qubo(instance), iterations)
-    d_schedule = default_schedule(build_dqubo(instance, alpha, beta), iterations)
-    h_records = batch_solve(
-        instance, MODE_HYCIM, num_initials, runs_per_initial,
-        schedule=h_schedule, master_seed=master_seed, jobs=jobs,
-    )
-    d_records = batch_solve(
-        instance, MODE_DQUBO, num_initials, runs_per_initial,
-        schedule=d_schedule, master_seed=master_seed,
-        alpha=alpha, beta=beta, jobs=jobs,
-    )
+    modes = (MODE_HYCIM, MODE_DQUBO)
+    schedules = [default_schedule(_build_problem(instance, mode, alpha, beta), iterations)
+                 for mode in modes]
+    # back to back, the two batches share the cached seed table
+    h_records, d_records = (
+        batch_solve(instance, mode, num_initials, runs_per_initial, schedule=schedule,
+                    master_seed=master_seed, alpha=alpha, beta=beta, jobs=jobs)
+        for mode, schedule in zip(modes, schedules))
     h_init, h_run = _success_rates(h_records, threshold, runs_per_initial)
     d_init, d_run = _success_rates(d_records, threshold, runs_per_initial)
     return SuccessReport(

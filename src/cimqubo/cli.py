@@ -21,8 +21,8 @@ from .anneal import (
     MODE_HYCIM,
     AnnealSchedule,
     _build_problem,
-    _derived_seed,
     _draw_initials,
+    _seed_table,
     batch_solve,
     default_schedule,
     sa_run,
@@ -145,7 +145,7 @@ def _cmd_solve(args) -> int:
         initial = _draw_initials(args.seed, 1, problem.dim)[0]
         record = sa_run(
             problem, backend=args.backend, schedule=schedule, initial=initial,
-            seed=_derived_seed(args.seed, 0, 0), filter_config=filter_cfg,
+            seed=_seed_table(args.seed, 1, 1)[0], filter_config=filter_cfg,
             crossbar_noise_sigma=args.noise_sigma, record_trajectory=True,
         )
         write_trajectory_csv(record, args.trajectory)

@@ -160,6 +160,10 @@ class QkpInstance:
         object.__setattr__(self, "weights", weights)
 
     @property
+    def total_profit(self) -> int:
+        return sum(self.profits.ravel().tolist())
+
+    @property
     def total_weight(self) -> int:
         return sum(self.weights.tolist())
 
@@ -379,7 +383,7 @@ def brute_force_oracle(instance: QkpInstance) -> OracleResult:
         raise CapacityError(
             f"oracle handles n <= {ORACLE_MAX_ITEMS}, got n = {n}; use the annealer for larger instances"
         )
-    totals = sum(instance.profits.ravel().tolist()), instance.total_weight
+    totals = instance.total_profit, instance.total_weight
     if max(totals) > _FLOAT_EXACT:
         raise CapacityError(f"profit and weight totals {totals} exceed 2^53, the float64 exact range")
     h = n // 2

@@ -43,16 +43,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _SPARSE_THRESHOLD = 0.25
 
 
-def _exact_sum(a: np.ndarray) -> int:
-    """Sum of a uint64 array as a Python int, shifting the array right by 32
-    in place.  The sum of the high halves cannot wrap below 2^32 entries, nor
-    can the sum of the low halves, which the wrapped whole sum gives mod 2^64."""
-    wrapped = int(a.sum())
-    a >>= 32
-    high = int(a.sum()) << 32
-    return high + (wrapped - high) % (1 << 64)
-
-
 @dataclass(frozen=True, eq=False)
 class QuboMatrix:
     """Square integer coefficient matrix plus a constant offset."""
@@ -155,8 +145,8 @@ def _penalty_bound(instance: QkpInstance, alpha: int, beta: int) -> int:
     and alpha (sum y_k - 1)^2, offset included, sum to at most
     sum |p_ij| + beta (sum w + C (C + 1) / 2)^2 + alpha (C^2 + 1)."""
     C = instance.capacity
-    return (_exact_sum(instance.profits.astype(np.uint64))
-            + beta * (instance.total_weight + C * (C + 1) // 2) ** 2 + alpha * (C * C + 1))
+    return (instance.total_profit + beta * (instance.total_weight + C * (C + 1) // 2) ** 2
+            + alpha * (C * C + 1))
 
 
 def _fold_weights(model: InequalityQuboModel | DQuboModel) -> tuple[int, int, range]:

@@ -351,6 +351,16 @@ def test_batch_parallel_matches_serial(tiny):
         assert serial == parallel
 
 
+def test_noisy_behavioral_workers_match_serial(tiny):
+    # the workers anneal on the crossbar and filter the caller programmed, pickled
+    noisy = dict(backend="behavioral-cim", crossbar_noise_sigma=0.02, schedule=short(),
+                 master_seed=3)
+    for mode, filter_config in (("hycim", FilterConfig(noise_sigma=0.05)), ("dqubo", None)):
+        serial = batch_solve(tiny, mode, 4, 2, filter_config=filter_config, jobs=1, **noisy)
+        parallel = batch_solve(tiny, mode, 4, 2, filter_config=filter_config, jobs=2, **noisy)
+        assert serial == parallel
+
+
 def test_records_share_read_only_configurations_and_ints():
     inst = criterion7_instance()
     records = batch_solve(inst, "hycim", 10, 10, schedule=short(iters=400, t=50.0), master_seed=2)
@@ -544,6 +554,26 @@ def test_filter_config_must_be_a_filter_config(tiny, monkeypatch, call):
     with pytest.raises(ValidationError) as refused:
         call(tiny)
     assert refused.value.field == "filter_config"
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda inst: batch_solve(inst, "ising", 2, 1, jobs=2), ConfigurationError),
+    (lambda inst: batch_solve(inst, "hycim", 2, 1, backend="analog", jobs=2), ConfigurationError),
+    (lambda inst: batch_solve(inst, "hycim", 2, 1, schedule=5, jobs=2), ValidationError),
+    (lambda inst: batch_solve(inst, "dqubo", 2, 1, crossbar_noise_sigma=0.1, jobs=2),
+     ConfigurationError),
+    (lambda inst: batch_solve(inst, "hycim", 2, 1, backend="behavioral-cim", jobs=2,
+                              filter_config=FilterConfig(rows=1, levels_per_cell=1)),
+     CapacityError),  # build_filter: weights up to 7 against one level
+    (lambda inst: sa_run(build_inequality_qubo(inst), schedule=5, initial=[0, 0, 0]),
+     ValidationError),
+], ids=["mode", "backend", "schedule", "noise", "filter", "sa_run-schedule"])
+def test_bad_batch_arguments_are_refused_before_any_worker_starts(tiny, monkeypatch, call, error):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    with pytest.raises(error) as refused:
+        call(tiny)
+    if error is ValidationError:
+        assert refused.value.field == "schedule"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

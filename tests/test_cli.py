@@ -187,6 +187,22 @@ def test_solve_trajectory(tiny_path, tmp_path, capsys):
     assert len(lines) == 51
 
 
+@pytest.mark.parametrize("mode", ["hycim", "dqubo"])
+@pytest.mark.parametrize("backend", ["exact-software", "behavioral-cim"])
+def test_solve_trajectory_anneals_the_batch_run(tmp_path, capsys, mode, backend):
+    # --trajectory anneals run (0, 0) of the batch: same seed, same initial, same record
+    inst = tmp_path / "g.qkp"
+    main(["gen", "--n", "8", "--seed", "3", "-o", str(inst)])
+    solve = ["solve", str(inst), "--mode", mode, "--backend", backend, "--initials", "1",
+             "--runs", "1", "--iters", "200", "--seed", "5"]
+    outs = []
+    for extra in ([], ["--trajectory", str(tmp_path / "t.csv")]):
+        capsys.readouterr()
+        assert main(solve + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_solve_trajectory_needs_single_run(tiny_path, tmp_path, capsys):
     code = main(["solve", tiny_path, "--initials", "2", "--runs", "1",
                  "--trajectory", str(tmp_path / "t.csv")])

@@ -170,13 +170,12 @@ KERNEL_PROBLEM = build_inequality_qubo(make_instance([[5, 2, 0], [2, 3, 1], [0, 
 @example(master=2**64 - 1, keys=[(2**32 - 1, 0)], seed=2**64 - 1)
 def test_seed_kernel_equals_numpy_seeding(master, keys, seed):
     initial, run = zip(*keys)
-    seeds = anneal._run_seeds(master, list(initial), list(run)).tolist()
+    seeds = anneal._spawn_seeds(master, 1, list(initial), list(run)).tolist()
     assert seeds == [ref_run_seed(master, i, r) for i, r in keys]
     # a one-word key, as filter_suite derives each instance's seed
     assert anneal._spawn_seeds(master, list(initial)).tolist() == [
         int(np.random.SeedSequence(master, spawn_key=(i,)).generate_state(1, np.uint64)[0])
         for i in initial]
-    assert anneal._derived_seed(master, *keys[0]) == seeds[0]
     seeds.append(seed)
     states = anneal._generator_states(np.array(seeds, dtype=np.uint64))
     for s, (state, inc) in zip(seeds, states, strict=True):

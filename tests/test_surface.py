@@ -22,7 +22,7 @@ REMOVED = {
     "constrained_energy", "linearity_sweep", "WeightPlane", "ReplicaConfig",
     "decompose_weights", "build_replica", "evaluate_ml",
     "qkp_objective", "qkp_weight", "is_feasible", "bits", "reconstruct", "vdd", "unit_drop",
-    "energy_bound", "_profit_fold", "_penalty_fold",
+    "energy_bound", "_profit_fold", "_penalty_fold", "_run_seeds", "_derived_seed", "_exact_sum",
 }
 
 # the full parameter lists of the functions that lost an option: the option
@@ -96,7 +96,7 @@ def test_load_qubo_json_return_type_is_exported():
 
 def test_removed_names_are_gone():
     assert not REMOVED & set(cimqubo.__all__)
-    for module in (cimqubo, bench, cli, crossbar_sim, filter_sim, qkp, transform):
+    for module in (cimqubo, anneal, bench, cli, crossbar_sim, filter_sim, qkp, transform):
         assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
     for cls in (crossbar_sim.CrossbarModel, filter_sim.FilterConfig, transform.QuboMatrix):
         assert not REMOVED & set(dir(cls)), cls.__name__
