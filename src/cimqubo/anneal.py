@@ -18,10 +18,13 @@ with that run's own generator.  The behavioral runs keep their array state
 as the exact runs keep their fields: each run's packed configuration and
 per-plane conducting-cell counts (crossbar_sim._RunCells, updated from the
 flipped bit's row and column for all runs at once) and its selected weight
-sum.  The check and the read take the run's weight and cell tallies in place
-of a configuration, so they count nothing and make only the run's noise
-draws and its FilterDecision or EnergyReading.  With noise disabled the two
-backends return identical records.
+sum.  With each proposal's counts, _RunCells derives for all runs at once
+what a read takes from them: the exact value, the noise spread per plane and
+the activated cells.  The check and the read take the run's weight and cell
+tallies in place of a configuration, so they count and derive nothing and
+make only the run's noise draws and sums and its FilterDecision or
+EnergyReading.  With noise disabled the two backends return identical
+records.
 
 A run's seed and generator are numpy's: run (i, r) of a batch has seed
 SeedSequence(master_seed, spawn_key=(1, i, r)).generate_state(1, uint64) and
@@ -69,9 +72,9 @@ import numpy as np
 
 from .crossbar_sim import _line_layout, _RunCells, program_crossbar, vmv_energy
 from .errors import ConfigurationError, ValidationError
-from .filter_sim import FilterConfig, _check_config, _weight_tallies, build_filter, filter_check
+from .filter_sim import FilterConfig, _weight_tallies, build_filter, filter_check
 from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float, _as_int,
-                  _fields_equal, as_bits)
+                  _as_type, _fields_equal, as_bits)
 from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
@@ -250,7 +253,7 @@ class _Context:
         if crossbar_noise_sigma and backend != BACKEND_CIM:
             raise ConfigurationError("crossbar_noise_sigma needs the behavioral-cim backend")
         if filter_config is not None:
-            _check_config(filter_config, "filter_config")
+            _as_type(filter_config, FilterConfig, "filter_config")
             if backend != BACKEND_CIM:
                 raise ConfigurationError("filter_config needs the behavioral-cim backend")
         if schedule is None:
@@ -416,7 +419,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
             evaluations += passed
             improved &= passed
             accepted &= passed
-        better = np.flatnonzero(improved)
+        better = improved.nonzero()[0]
         if better.size:
             best_e[better] = e_new[better]
             best_x[better] = x[better]
@@ -430,7 +433,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         energy = np.where(accepted, e_new, energy)
         if track_weight:
             wsum = np.where(moved, wn, wsum)
-        idx = np.flatnonzero(moved)
+        idx = moved.nonzero()[0]
         if idx.size:
             xf[pos[idx]] ^= 1
             if exact:
@@ -584,7 +587,7 @@ def batch_solve(
 def write_trajectory_csv(record: RunRecord, path) -> None:
     """Columns: iteration, energy, accepted, feasible (the gate verdict in hycim
     mode, the item-bit weight test in dqubo mode)."""
-    if record.trajectory is None:
+    if _as_type(record, RunRecord, "record").trajectory is None:
         raise ConfigurationError("run was made without record_trajectory")
     import csv
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .qkp import _as_float, _as_rng, as_bits
+from .qkp import _as_float, _as_rng, _as_type, as_bits
 from .transform import QuboMatrix
 
 
@@ -59,7 +59,7 @@ def _plane_rows(mags: np.ndarray, words: int) -> np.ndarray:
 def program_crossbar(q: QuboMatrix, noise_sigma: float = 0.0) -> CrossbarModel:
     """Slice a coefficient matrix into bit planes, splitting mixed signs."""
     noise_sigma = _as_float(noise_sigma, "noise_sigma", 0.0)
-    mat = q.q
+    mat = _as_type(q, QuboMatrix, "q").q
     words = -(-q.dim // 64)
     signs = [1] if np.any(mat > 0) else []
     # the zero matrix gets one all-zero negative stack
@@ -115,14 +115,16 @@ def _line_layout(model: CrossbarModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CellTally:
-    """A run's per-plane conducting-cell counts, which vmv_energy reads in
-    place of the configuration they count.  counts is a view into the
-    annealer's array, so a read sees the counts as they stand at the call."""
+    """A run's per-plane conducting-cell counts and their read terms, which
+    vmv_energy reads in place of the configuration they count: sums holds
+    counts @ scale and the activated cells, spread sqrt(counts) * scale (None
+    without noise).  Each is a view of the run's row in the block's arrays,
+    so a read sees them as they stand at the call."""
 
-    __slots__ = ("model", "counts")
+    __slots__ = ("model", "counts", "sums", "spread")
 
-    def __init__(self, model: CrossbarModel, counts: np.ndarray):
-        self.model, self.counts = model, counts
+    def __init__(self, model: CrossbarModel, counts: np.ndarray, sums: np.ndarray, spread):
+        self.model, self.counts, self.sums, self.spread = model, counts, sums, spread
 
 
 class _RunCells:
@@ -132,7 +134,8 @@ class _RunCells:
     Flipping bit j switches the cells of row j and column j that the
     configuration with bit j set selects: the same cells whether the flip sets
     the bit (delta = +1) or clears it (delta = -1).  So a proposal costs one
-    AND and popcount over the two lines of every run, O(planes x words).
+    AND and popcount over the two lines of every run, O(planes x words), and
+    the read terms of every run's proposed counts are derived with it.
     tallies[r] reads run r's proposed counts."""
 
     def __init__(self, model: CrossbarModel, layout, configs: np.ndarray):
@@ -140,18 +143,34 @@ class _RunCells:
         self.words = _pack(configs, self.units.shape[1])
         self.counts = np.array([_plane_counts(model.rows, bits) for bits in configs])
         self.proposed = self.counts.copy()  # until the first proposal, the initial counts
+        runs, planes = self.proposed.shape
+        # each run's counts @ scale and activated cells, as one product with [scale, 1]
+        self.scale = model.scale
+        self.plane_weights = np.column_stack([self.scale, np.ones(planes, dtype=np.int64)])
+        self.sums = np.empty((runs, 2), dtype=np.int64)
+        self.spread = np.empty((runs, planes)) if model.noise_sigma > 0 else None
+        self._derive()
         self.flipped = np.zeros_like(self.words)
-        self.tallies = [_CellTally(model, row) for row in self.proposed]
+        spreads = [None] * runs if self.spread is None else self.spread
+        self.tallies = [_CellTally(model, *rows) for rows in zip(self.proposed, self.sums, spreads)]
+
+    def _derive(self) -> None:
+        """The read terms of every run's proposed counts."""
+        np.dot(self.proposed, self.plane_weights, out=self.sums)
+        if self.spread is not None:
+            np.multiply(np.sqrt(self.proposed, out=self.spread), self.scale, out=self.spread)
 
     def propose(self, j: np.ndarray, delta: np.ndarray) -> None:
-        """Counts of every run with its bit j[r] flipped, into proposed."""
+        """Counts and read terms of every run with its bit j[r] flipped."""
         self.flipped = self.units.take(j, axis=0)
         cells = self.lines.take(j, axis=0)
         cells &= (self.words | self.flipped)[:, None, :, None]
         runs, planes = self.proposed.shape
-        change = np.bitwise_count(cells).reshape(runs, -1, planes).sum(axis=1, dtype=np.int64)
+        change = np.add.reduce(np.bitwise_count(cells).reshape(runs, -1, planes), axis=1,
+                               dtype=np.int64)
         np.multiply(change, delta[:, None], out=self.proposed)
         self.proposed += self.counts
+        self._derive()
 
     def move(self, moved: np.ndarray) -> None:
         """Take the last proposal of every run where moved is set."""
@@ -166,29 +185,34 @@ def vmv_energy(model: CrossbarModel, x, rng=None) -> EnergyReading:
     exact_value is the digital reconstruction x^T q x + offset, counted from
     the conducting cells of every plane: x is packed into the rows' uint64
     words, the rows with x_i = 1 are ANDed with it, and the popcounts summed
-    per plane are exact integers at any dim.  An annealer passes, in place of
-    x, its run's tally of those counts, which it keeps from flip to flip; the
-    read then counts nothing and does the rest.  value adds, per conducting
+    per plane are exact integers at any dim.  value adds, per conducting
     cell, a unit-current perturbation eta ~ N(0, noise_sigma) scaled by the
     cell's plane weight.  The count cells of one plane sum to a single
     N(0, count * noise_sigma^2) draw, so a noisy read takes one Gaussian per
-    plane from rng.  Noiseless readings satisfy value == exact_value; a noisy
-    value past the float64 range raises CapacityError.
+    plane from rng and sums eta_p * spread_p with spread = sqrt(counts) *
+    scale.  An annealer passes, in place of x, its run's tally, which it keeps
+    from flip to flip: the counts and, derived for the whole block at each
+    proposal, counts @ scale, the activated cells and the spread.  The read
+    then only draws and sums its noise.  Noiseless readings satisfy value ==
+    exact_value; a noisy value past the float64 range raises CapacityError.
     """
     if isinstance(x, _CellTally):
         if x.model is not model:
             raise ValidationError("x", "is the cell tally of another crossbar")
-        counts = x.counts
+        (dot, active), spread = x.sums.tolist(), x.spread
     else:
-        counts = _plane_counts(model.rows, as_bits(x, model.dim))
-    scale = model.scale
-    exact = model.offset + int(counts @ scale)
+        counts = _plane_counts(_as_type(model, CrossbarModel, "model").rows, as_bits(x, model.dim))
+        dot, active = counts @ model.scale, sum(counts.tolist())
+        spread = np.sqrt(counts) * model.scale if model.noise_sigma > 0 else None
+    exact = model.offset + int(dot)
     value = float(exact)
     if model.noise_sigma > 0:
-        eta = _as_rng(rng).standard_normal(scale.size) * np.sqrt(counts)
-        # exact products (the scales are +-2^b) in numpy's pairwise sum, which no BLAS reorders
-        value += model.noise_sigma * float(np.add.reduce(eta * scale))
+        eta = _as_rng(rng).standard_normal(model.scale.size)
+        # eta * spread is (eta * sqrt(counts)) * scale exactly, as the scales are +-2^b;
+        # summed in numpy's pairwise order, which no BLAS reorders
+        eta *= spread
+        value += model.noise_sigma * float(np.add.reduce(eta))
         if not math.isfinite(value):
             raise CapacityError(f"noisy reading {value} at noise_sigma {model.noise_sigma} "
                                 "is not a finite float64")
-    return EnergyReading(value=value, exact_value=exact, activated_cells=sum(counts.tolist()))
+    return EnergyReading(value=value, exact_value=exact, activated_cells=active)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SamplingError, ValidationError
-from .qkp import _SEED_LIMIT, _as_float, _as_int, _as_int_array, _as_rng, as_bits
+from .qkp import _SEED_LIMIT, _as_float, _as_int, _as_int_array, _as_rng, _as_type, as_bits
 
 # precharge voltage of both matchlines
 VDD = 2.0
@@ -64,11 +64,6 @@ class FilterDecision:
     feasible: bool
 
 
-def _check_config(config, name: str = "config") -> None:
-    if not isinstance(config, FilterConfig):
-        raise ValidationError(name, f"must be a FilterConfig, got {type(config).__name__}")
-
-
 def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) -> FilterModel:
     """Check that the weights and the capacity fit the array and set the
     drop per weight unit.
@@ -79,7 +74,7 @@ def build_filter(weights, capacity: int, config: FilterConfig = FilterConfig()) 
     matchline that a weight of capacity + 1 leaves at the same float64 value
     would tie with that over-weight input and raises ConfigurationError.
     """
-    _check_config(config)
+    _as_type(config, FilterConfig, "config")
     w = _as_int_array(weights, "weights")
     if w.ndim != 1:
         raise ValidationError("weights", f"expected a vector, got shape {w.shape}")
@@ -138,13 +133,14 @@ def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
     noise_sigma * sqrt(wsum).  A noisy drop past the float64 range raises
     CapacityError.
     """
-    sigma = model.config.noise_sigma
     if isinstance(x, _WeightTally):
         if x.model is not model:
             raise ValidationError("x", "is the weight tally of another filter")
         wsum = int(x.wsum)
     else:
-        wsum = int(model.weights @ as_bits(x, model.weights.shape[0]))
+        weights = _as_type(model, FilterModel, "model").weights
+        wsum = int(weights @ as_bits(x, weights.shape[0]))
+    sigma = model.config.noise_sigma
     drop = model.unit_drop * float(wsum)
     if sigma > 0 and wsum > 0:
         eta = _as_rng(rng).standard_normal() * sigma * math.sqrt(wsum)

@@ -48,10 +48,10 @@ def as_bits(x, n: int | None = None) -> np.ndarray:
     return bits
 
 
-def _as_instance(value, name: str = "instance") -> QkpInstance:
-    """The rule for every instance argument: a QkpInstance, as given."""
-    if not isinstance(value, QkpInstance):
-        raise ValidationError(name, f"must be a QkpInstance, got {type(value).__name__}")
+def _as_type(value, cls: type, name: str):
+    """The rule for every argument of one class (instance, model, record): the value as given."""
+    if not isinstance(value, cls):
+        raise ValidationError(name, f"must be a {cls.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -276,7 +276,7 @@ def parse_instance(source, fmt: str = TEXT_FORMAT) -> QkpInstance:
 
 
 def dump_instance(instance: QkpInstance, fmt: str = TEXT_FORMAT) -> str:
-    _as_instance(instance)
+    _as_type(instance, QkpInstance, "instance")
     if fmt == TEXT_FORMAT:
         lines = [instance.name, str(instance.n)]
         lines.append(" ".join(str(v) for v in np.diagonal(instance.profits).tolist()))
@@ -378,7 +378,7 @@ def brute_force_oracle(instance: QkpInstance) -> OracleResult:
     are float64 sums, exact while the profit and weight totals stay within
     2^53; larger totals raise CapacityError.
     """
-    n = _as_instance(instance).n
+    n = _as_type(instance, QkpInstance, "instance").n
     if n > ORACLE_MAX_ITEMS:
         raise CapacityError(
             f"oracle handles n <= {ORACLE_MAX_ITEMS}, got n = {n}; use the annealer for larger instances"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
-from .qkp import QkpInstance, _as_instance, _as_int, _as_int_array, _fields_equal, as_bits
+from .qkp import QkpInstance, _as_int, _as_int_array, _as_type, _fields_equal, as_bits
 
 INEQUALITY_MODE = "inequality"
 DQUBO_MODE = "dqubo"
@@ -81,7 +81,7 @@ class InequalityQuboModel:
     instance: QkpInstance
 
     def __post_init__(self):
-        _as_instance(self.instance)
+        _as_type(self.instance, QkpInstance, "instance")
 
     @property
     def dim(self) -> int:
@@ -105,7 +105,7 @@ class DQuboModel:
     beta: int
 
     def __post_init__(self):
-        instance = _as_instance(self.instance)
+        instance = _as_type(self.instance, QkpInstance, "instance")
         alpha, beta = _as_int(self.alpha, "alpha", 1), _as_int(self.beta, "beta", 1)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -245,7 +245,7 @@ def dqubo_quantization_info(instance: QkpInstance, alpha: int, beta: int) -> Qua
     matrix over the two largest slack counts (for C >= 2 their pair outgrows
     the count-1 diagonal |beta - alpha|).  Python ints keep it exact past the
     build's dimension and 64-bit limits."""
-    _as_instance(instance)
+    _as_type(instance, QkpInstance, "instance")
     alpha, beta = _as_int(alpha, "alpha", 1), _as_int(beta, "beta", 1)
     q = _penalty_matrix(instance, alpha, beta, range(1, instance.capacity + 1)[-2:], object)
     return _quantization(int(np.abs(q).max()))

@@ -53,6 +53,7 @@ from cimqubo import (
     sample_balanced_configs,
     success_rate_study,
     vmv_energy,
+    write_trajectory_csv,
 )
 from cimqubo import anneal
 from cimqubo.crossbar_sim import _line_layout, _RunCells
@@ -413,6 +414,50 @@ def test_kept_cell_counts_follow_single_flip_walks(dim, signs, peak, seed, steps
     assert reading.exact_value == ref_qubo_energy(qs, proposal[1].tolist())
     with pytest.raises(ValidationError, match="^x: "):
         vmv_energy(program_crossbar(QuboMatrix(q)), cells.tallies[0])
+
+
+def tally_reads_are_bit_vector_reads(model, cells, configs, seed):
+    """Each run's tally read equals the read of its configuration, drawing the same noise."""
+    for r, bits in enumerate(configs):
+        rng_a, rng_b = np.random.default_rng([seed, r]), np.random.default_rng([seed, r])
+        kept, direct = vmv_energy(model, cells.tallies[r], rng_a), vmv_energy(model, bits, rng_b)
+        assert kept.value == direct.value
+        assert kept.exact_value == direct.exact_value
+        assert kept.activated_cells == direct.activated_cells
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@settings(max_examples=15, deadline=None)
+@given(dim=st.integers(1, 40), signs=st.sampled_from(sorted(SIGNS)), peak=st.sampled_from([1, 40, 2**40]),
+       sigma=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=5))
+# word boundaries, every sign layout and both noise settings, with reads before any proposal
+@example(dim=1, signs="mixed", peak=40, sigma=0.05, seed=1, steps=[])
+@example(dim=63, signs="mixed", peak=2**40, sigma=0.05, seed=2, steps=[(True, False)] * 4)
+@example(dim=64, signs="positive", peak=40, sigma=0.0, seed=3, steps=[(True, True)] * 3)
+@example(dim=65, signs="negative", peak=40, sigma=0.05, seed=4, steps=[(False, True)] * 3)
+@example(dim=129, signs="mixed", peak=40, sigma=0.05, seed=5, steps=[(True, True)] * 2)
+@example(dim=129, signs="zero", peak=1, sigma=0.05, seed=6, steps=[(True, False)] * 2)
+def test_a_tally_read_is_the_bit_vector_read(dim, signs, peak, sigma, seed, steps):
+    # the block's derived dot, spread and activated cells give the read of the
+    # configuration itself: the same value, exact value, cells and draws
+    rng = np.random.default_rng(seed)
+    low, high = SIGNS[signs]
+    q = QuboMatrix(rng.integers(low * peak, high * peak + 1, size=(dim, dim)),
+                   offset=int(rng.integers(-50, 51)))
+    model = program_crossbar(q, sigma)
+    x = rng.integers(0, 2, size=(2, dim), dtype=np.int8)
+    cells, runs = _RunCells(model, _line_layout(model), x), np.arange(2)
+    tally_reads_are_bit_vector_reads(model, cells, x, seed)
+    for take0, take1 in steps:
+        j = rng.integers(0, dim, size=2)
+        proposal = x.copy()
+        proposal[runs, j] ^= 1
+        cells.propose(j, 1 - 2 * x[runs, j].astype(np.int64))
+        tally_reads_are_bit_vector_reads(model, cells, proposal, seed)
+        moved = np.array([take0, take1])
+        cells.move(moved)
+        x[moved] = proposal[moved]
 
 
 @common
@@ -794,6 +839,25 @@ def test_instance_arguments_follow_one_rule(site, name, call, value):
         call(value)
     assert refused.value.field == name, site
     call(THREE)
+
+
+# (the call site, the ValidationError field, the call) for every public
+# function whose model, matrix or record argument escaped as a bare
+# AttributeError when given another type
+TYPED_CALLS = [
+    ("vmv_energy", "model", lambda path: vmv_energy(None, [1, 0])),
+    ("filter_check", "model", lambda path: filter_check(None, [1, 0])),
+    ("program_crossbar", "q", lambda path: program_crossbar(np.eye(3, dtype=np.int64))),
+    ("write_trajectory_csv", "record", lambda path: write_trajectory_csv(None, path)),
+]
+
+
+@pytest.mark.parametrize("site, name, call", TYPED_CALLS, ids=[site for site, *_ in TYPED_CALLS])
+def test_a_wrong_argument_type_is_refused(site, name, call, tmp_path):
+    with pytest.raises(ValidationError, match="must be a ") as refused:
+        call(tmp_path / "t.csv")
+    assert refused.value.field == name, site
+    assert not (tmp_path / "t.csv").exists()
 
 
 # ------------------------------------------------- one real-number rule for settings
