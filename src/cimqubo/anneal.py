@@ -9,22 +9,22 @@ One lockstep loop serves both modes and both backends.  It advances a block
 of runs together on (runs, dim) arrays, one proposal per run per iteration.
 Every run pregenerates its flips and Metropolis gates from its own seed, so
 its record does not depend on the block size, on the runs it shares a block
-with, or on the jobs worker count; sa_run is a block of one.  dqubo is the
-same loop with a gate that always passes.  The backends differ only in the
-gate and the energy: "exact-software" applies the weight inequality and
-updates energies through local fields, "behavioral-cim" makes one filter check
-(in hycim mode) and, when it passes, one crossbar read per run and proposal
-with that run's own generator.  The behavioral runs keep their array state
-as the exact runs keep their fields: each run's packed configuration and
-per-plane conducting-cell counts (crossbar_sim._RunCells, updated from the
-flipped bit's row and column for all runs at once) and its selected weight
-sum.  With each proposal's counts, _RunCells derives for all runs at once
-what a read takes from them: the exact value, the noise spread per plane and
-the activated cells.  The check and the read take the run's weight and cell
-tallies in place of a configuration, so they count and derive nothing and
-make only the run's noise draws and sums and its FilterDecision or
-EnergyReading.  With noise disabled the two backends return identical
-records.
+with, or on the jobs worker count; sa_run is a block of one.  What depends on
+the flips alone (their indices, positions and weights and the crossbar lines
+they read) is gathered once per chunk of steps.  dqubo is the same loop with
+a gate that always passes.  The backends differ only in the gate and the
+energy: "exact-software" applies the weight inequality and updates energies
+through local fields, "behavioral-cim" makes one filter check (in hycim mode)
+and, when it passes, one crossbar read per run and proposal.  The behavioral
+runs keep their array state as the exact runs keep their fields: each run's
+packed configuration, per-plane conducting-cell counts and selected weight
+sum, which crossbar_sim._RunCells updates from the flipped bit for all runs
+at once, deriving each proposal's read terms.  The check and the read take
+these tallies in place of a configuration and make only the run's noise
+draws and sums.  A run's noise comes from its own generator, drawn ahead in
+chunks of up to 64 steps' worth (qkp._NormalStream): the same numbers in the
+same order as draws made call by call.  With noise disabled the two backends
+return identical records.
 
 A run's seed and generator are numpy's: run (i, r) of a batch has seed
 SeedSequence(master_seed, spawn_key=(1, i, r)).generate_state(1, uint64) and
@@ -74,7 +74,7 @@ from .crossbar_sim import _line_layout, _RunCells, program_crossbar, vmv_energy
 from .errors import ConfigurationError, ValidationError
 from .filter_sim import FilterConfig, _weight_tallies, build_filter, filter_check
 from .qkp import (_FLOAT_EXACT, _LEAST_POSITIVE, _SEED_LIMIT, QkpInstance, _as_float, _as_int,
-                  _as_type, _fields_equal, as_bits)
+                  _as_type, _fields_equal, _NormalStream, as_bits)
 from .transform import (
     DEFAULT_PENALTY,
     DQuboModel,
@@ -95,6 +95,9 @@ BACKEND_CIM = "behavioral-cim"
 # Pregenerated draws per lockstep block: the gate buffer takes 4 MiB in the int32 lane.
 _BLOCK_DRAWS = 1 << 20
 _DRAW_CHUNK = 64  # runs whose float64 gate draws are scaled together, 512 KiB at 1000 steps
+_STEP_CHUNK = 64  # steps whose flip-only terms are staged, and whose noise is drawn, at a time
+_STAGE_PAIRS = 1 << 8  # fewer steps where a block's staged (step, run) pairs would pass this,
+_NOISE_DRAWS = 1 << 18  # or its normals drawn ahead this, 2 MiB
 # t_end / t_start of the default schedule, also used when only t_start is given
 COOLING_RATIO = 0.5
 # annealing steps per run unless a schedule or caller says otherwise
@@ -209,8 +212,11 @@ def flip_scale(problem: InequalityQuboModel | DQuboModel) -> float:
     """Mean magnitude scale of a single-bit flip: flipping bit j changes the
     energy by at most sum_i |(Q + Q^T)_ij| + |Q_jj|, averaged over j."""
     _mode_of(problem)
-    cols, diag, _ = _flip_magnitudes(problem)
-    return float(cols.mean() + diag.mean())
+    return _flip_scale(_flip_magnitudes(problem))
+
+
+def _flip_scale(magnitudes) -> float:
+    return float(magnitudes[0].mean() + magnitudes[1].mean())
 
 
 def default_schedule(
@@ -222,7 +228,11 @@ def default_schedule(
     scale; t_start = scale / 3.5 accepts such moves with probability around
     exp(-1.75) at the start and exp(-3.5) at the end.
     """
-    t_start = max(flip_scale(problem) / 3.5, 1.0)
+    return _default_schedule(flip_scale(problem), iterations)
+
+
+def _default_schedule(scale: float, iterations: int) -> AnnealSchedule:
+    t_start = max(scale / 3.5, 1.0)
     return AnnealSchedule(iterations=iterations, t_start=t_start, t_end=COOLING_RATIO * t_start)
 
 
@@ -256,12 +266,13 @@ class _Context:
             _as_type(filter_config, FilterConfig, "filter_config")
             if backend != BACKEND_CIM:
                 raise ConfigurationError("filter_config needs the behavioral-cim backend")
+        magnitudes = _flip_magnitudes(problem)
         if schedule is None:
-            schedule = default_schedule(problem)
+            schedule = _default_schedule(_flip_scale(magnitudes), DEFAULT_ITERATIONS)
         elif not isinstance(schedule, AnnealSchedule):
             raise ValidationError("schedule",
                                   f"must be an AnnealSchedule, got {type(schedule).__name__}")
-        bound = _flip_magnitudes(problem)[2]
+        bound = magnitudes[2]
         # the thresholds ceil(T g) are exact only for integers up to 2^53
         if bound > _FLOAT_EXACT:
             raise ConfigurationError(
@@ -318,7 +329,7 @@ def _cim_evaluate(ctx, reads, checks, rngs, energies):
         passed = np.array([filter_check(ctx.filter_model, tally, rng).feasible
                            for tally, rng in zip(checks, rngs)])
     energies = energies.copy()
-    for r in range(len(reads)) if passed is None else passed.nonzero()[0]:
+    for r in range(len(reads)) if passed is None else passed.nonzero()[0].tolist():
         reading = vmv_energy(ctx.crossbar, reads[r], rngs[r])
         energies[r] = reading.value if ctx.crossbar_noisy else reading.exact_value
     return passed, energies
@@ -336,7 +347,11 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     states = _generator_states(np.array(seeds, dtype=np.uint64))
     bits = np.random.PCG64()  # every run sets its own state before it draws
     gen = np.random.Generator(bits)
-    rngs = []  # behavioral runs go on drawing noise, each from its own stream
+    steps = max(1, min(_STEP_CHUNK, _STAGE_PAIRS // runs))
+    # a behavioral step draws at most a filter check's normal and a read's per plane
+    per_step = 0 if exact else 1 + ctx.crossbar.scale.size
+    noise = max(per_step, min(_STEP_CHUNK * per_step, _NOISE_DRAWS // runs))
+    rngs = []  # behavioral runs go on drawing noise, each from its own generator
     for start in range(0, runs, len(draws)):
         chunk = draws[: min(runs - start, len(draws))]
         for r, (state, inc) in enumerate(states[start:start + len(chunk)], start):
@@ -345,7 +360,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
             flips[:, r] = gen.integers(0, ctx.dim, size=iters)
             gen.random(out=chunk[r - start])
             if not exact:
-                rngs.append(np.random.Generator(copy.copy(bits)))
+                rngs.append(_NormalStream(np.random.Generator(copy.copy(bits)), noise))
         # Metropolis thresholds: accept dE > 0 iff dE < T * g with g = -log u
         np.log(chunk, out=chunk)
         chunk *= -ctx.temps
@@ -393,11 +408,18 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         traj_feas = np.empty((iters, runs), dtype=bool)
 
     for i in range(iters):
-        j = flips[i].astype(np.intp)  # indexes faster than the stored small type
-        pos = base + j
+        k = i % steps
+        if not k:  # stage the terms that depend only on the flips, for the next chunk of steps
+            js = flips[i:i + steps].astype(np.intp)  # indexes faster than the stored small type
+            poss = js + base
+            if track_weight:
+                dws = ctx.weights[js]
+            if not exact:
+                units, lines = cells.units.take(js, axis=0), cells.lines.take(js, axis=0)
+        j, pos = js[k], poss[k]
         delta = ctx.flip_sign[xf[pos]]
         if track_weight:
-            np.multiply(delta, ctx.weights[j], out=wn)
+            np.multiply(delta, dws[k], out=wn)
             wn += wsum
         if exact:
             if hycim:  # no slack bits, and no slope or cost terms
@@ -409,7 +431,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
                 col = np.minimum(j, n)
                 e_new = qf + (delta * (fieldf[fbase + col] + ctx.slopes[j] * s2) + ctx.costs[j])
         else:
-            cells.propose(j, delta)
+            cells.propose(units[k], lines[k], delta)
             passed, e_new = _cim_evaluate(ctx, cells.tallies, checks, rngs, energy)
         # every evaluated proposal counts as seen, accepted or not
         improved = e_new < best_e
@@ -430,9 +452,9 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
             moved = accepted | ~(passed | feas)
             feas |= accepted
             all_feasible = bool(feas.all())
-        energy = np.where(accepted, e_new, energy)
+        np.putmask(energy, accepted, e_new)  # also qf, once qf is the energy
         if track_weight:
-            wsum = np.where(moved, wn, wsum)
+            np.putmask(wsum, moved, wn)
         idx = moved.nonzero()[0]
         if idx.size:
             xf[pos[idx]] ^= 1

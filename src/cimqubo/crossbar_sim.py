@@ -150,7 +150,8 @@ class _RunCells:
         self.sums = np.empty((runs, 2), dtype=np.int64)
         self.spread = np.empty((runs, planes)) if model.noise_sigma > 0 else None
         self._derive()
-        self.flipped = np.zeros_like(self.words)
+        self.mask = np.empty_like(self.words)  # the words with each run's flipped bit set
+        self.mask_lines = self.mask[:, None, :, None]  # against the (runs, 2, words, planes) lines
         spreads = [None] * runs if self.spread is None else self.spread
         self.tallies = [_CellTally(model, *rows) for rows in zip(self.proposed, self.sums, spreads)]
 
@@ -160,11 +161,12 @@ class _RunCells:
         if self.spread is not None:
             np.multiply(np.sqrt(self.proposed, out=self.spread), self.scale, out=self.spread)
 
-    def propose(self, j: np.ndarray, delta: np.ndarray) -> None:
-        """Counts and read terms of every run with its bit j[r] flipped."""
-        self.flipped = self.units.take(j, axis=0)
-        cells = self.lines.take(j, axis=0)
-        cells &= (self.words | self.flipped)[:, None, :, None]
+    def propose(self, flipped: np.ndarray, cells: np.ndarray, delta: np.ndarray) -> None:
+        """Counts and read terms of every run with its bit j[r] flipped, given
+        units[j] and lines[j]; cells is overwritten."""
+        self.flipped = flipped
+        np.bitwise_or(self.words, flipped, out=self.mask)
+        cells &= self.mask_lines
         runs, planes = self.proposed.shape
         change = np.add.reduce(np.bitwise_count(cells).reshape(runs, -1, planes), axis=1,
                                dtype=np.int64)

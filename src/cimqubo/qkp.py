@@ -55,9 +55,30 @@ def _as_type(value, cls: type, name: str):
     return value
 
 
-def _as_rng(rng) -> np.random.Generator:
-    """A Generator as given, a fresh-entropy one for None, else one seeded by rng."""
-    if isinstance(rng, np.random.Generator):
+class _NormalStream:
+    """A generator's standard normals in order, drawn ahead in chunks of at least chunk
+    from the first request on.  standard_normal(k) then standard_normal(m) draws the
+    numbers of standard_normal(k + m), so a caller gets the numbers the generator would
+    give it.  Each number is handed out once, so a caller may scale its slice in place."""
+
+    __slots__ = ("rng", "chunk", "buffer", "at")
+
+    def __init__(self, rng: np.random.Generator, chunk: int):
+        self.rng, self.chunk, self.buffer, self.at = rng, chunk, np.empty(0), 0
+
+    def standard_normal(self, size=None):
+        start, stop = self.at, self.at + (1 if size is None else size)
+        if stop > self.buffer.size:
+            more = self.rng.standard_normal(max(self.chunk, stop - self.buffer.size))
+            self.buffer, start, stop = np.concatenate([self.buffer[start:], more]), 0, stop - start
+        self.at = stop
+        return self.buffer.item(start) if size is None else self.buffer[start:stop]
+
+
+def _as_rng(rng) -> np.random.Generator | _NormalStream:
+    """A Generator or an annealing run's _NormalStream as given, a fresh-entropy
+    Generator for None, else one seeded by rng."""
+    if isinstance(rng, (np.random.Generator, _NormalStream)):
         return rng
     return np.random.default_rng(None if rng is None else _as_int(rng, "rng", 0, _SEED_LIMIT))
 

@@ -89,6 +89,21 @@ def test_default_schedule_tracks_flip_scale(tiny):
     assert sched.t_end == pytest.approx(0.5 * sched.t_start)
 
 
+def test_a_context_derives_its_flip_magnitudes_once(monkeypatch):
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return _flip_magnitudes(problem)
+
+    monkeypatch.setattr(anneal, "_flip_magnitudes", counted)
+    problem = build_dqubo(criterion7_instance())
+    ctx = anneal._Context(problem, "exact-software")
+    assert calls == [problem]
+    assert ctx.iterations == default_schedule(problem).iterations
+    assert ctx.temps.tolist() == default_schedule(problem).temperatures().tolist()
+
+
 def test_default_schedule_floor():
     inst = make_instance([[1]], [1], 1)
     sched = default_schedule(build_inequality_qubo(inst))
@@ -479,12 +494,18 @@ def test_array_calls_follow_the_proposals(monkeypatch):
 def test_records_do_not_depend_on_block_size(monkeypatch, backend):
     inst = criterion7_instance(3)
     sched = short(iters=200)
+    noises = [{}]
+    if backend == "behavioral-cim":
+        noises.append(dict(filter_config=FilterConfig(noise_sigma=0.02), crossbar_noise_sigma=0.02))
     for mode in ("hycim", "dqubo"):
-        whole = batch_solve(inst, mode, 3, 3, schedule=sched, backend=backend, master_seed=4)
-        monkeypatch.setattr(anneal, "_BLOCK_DRAWS", 2 * sched.iterations)  # blocks of 2 runs
-        blocked = batch_solve(inst, mode, 3, 3, schedule=sched, backend=backend, master_seed=4)
-        monkeypatch.undo()
-        assert whole == blocked
+        for noise in noises:
+            whole = batch_solve(inst, mode, 3, 3, sched, backend, master_seed=4, **noise)
+            # blocks of 2 runs; then one step's flip terms staged and noise drawn at a time
+            for name, value in (("_BLOCK_DRAWS", 2 * sched.iterations), ("_STEP_CHUNK", 1)):
+                monkeypatch.setattr(anneal, name, value)
+                blocked = batch_solve(inst, mode, 3, 3, sched, backend, master_seed=4, **noise)
+                monkeypatch.undo()
+                assert whole == blocked
 
 
 def test_batch_memory_is_bounded():
@@ -498,6 +519,22 @@ def test_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_noisy_block_memory_is_bounded():
+    # 1000 noisy dqubo runs of 40 steps over 120 bits and 29 planes: the block's runs hold
+    # at most 2 MiB of normals drawn ahead.  Drawn for the whole run, they would take
+    # 1000 x 40 x 29 x 8 bytes, 8.9 MiB, on top of the 4 MiB the block takes without them.
+    inst = criterion7_instance()
+    tracemalloc.start()
+    try:
+        records = batch_solve(inst, "dqubo", 100, 10, AnnealSchedule(40, 5.0, 1.0),
+                              "behavioral-cim", master_seed=1, crossbar_noise_sigma=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.evaluations for r in records) == 1000 * 40
+    assert peak < 9 * 2**20
 
 
 @pytest.mark.parametrize("call", [

@@ -58,6 +58,7 @@ from cimqubo import (
 from cimqubo import anneal
 from cimqubo.crossbar_sim import _line_layout, _RunCells
 from cimqubo.filter_sim import VDD, _weight_tallies
+from cimqubo.qkp import _NormalStream
 from cimqubo.transform import _flip_magnitudes, _fold_weights, _penalty_bound, _penalty_flip_terms
 
 from conftest import (
@@ -402,7 +403,7 @@ def test_kept_cell_counts_follow_single_flip_walks(dim, signs, peak, seed, steps
         j = np.where([back0, back1], last, rng.integers(0, dim, size=2))
         proposal = x.copy()
         proposal[runs, j] ^= 1
-        cells.propose(j, 1 - 2 * x[runs, j].astype(np.int64))
+        cells.propose(cells.units[j], cells.lines[j], 1 - 2 * x[runs, j].astype(np.int64))
         assert cells.proposed.tolist() == [kept_counts(qs, bits.tolist()) for bits in proposal]
         moved = np.array([take0, take1])
         cells.move(moved)
@@ -453,11 +454,31 @@ def test_a_tally_read_is_the_bit_vector_read(dim, signs, peak, sigma, seed, step
         j = rng.integers(0, dim, size=2)
         proposal = x.copy()
         proposal[runs, j] ^= 1
-        cells.propose(j, 1 - 2 * x[runs, j].astype(np.int64))
+        cells.propose(cells.units[j], cells.lines[j], 1 - 2 * x[runs, j].astype(np.int64))
         tally_reads_are_bit_vector_reads(model, cells, proposal, seed)
         moved = np.array([take0, take1])
         cells.move(moved)
         x[moved] = proposal[moved]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), chunk=st.integers(1, 30),
+       sizes=st.lists(st.none() | st.integers(0, 40), max_size=25))
+# a scalar to start, requests past a chunk, empty requests, and a request at a chunk's end
+@example(seed=0, chunk=1, sizes=[None, 40, 0, None, 3])
+@example(seed=2**64 - 1, chunk=30, sizes=[29, None, 0, 30, 31, None])
+def test_a_noise_stream_hands_out_its_generator_draws(seed, chunk, sizes):
+    # drawn ahead in chunks or not, a run's normals are the ones its generator
+    # hands out called directly, in the order they are asked for
+    stream = _NormalStream(np.random.default_rng(seed), chunk)
+    twin = np.random.default_rng(seed)
+    for size in sizes:
+        got, want = stream.standard_normal(size), twin.standard_normal(size)
+        if size is None:
+            assert type(got) is float and got == want
+        else:
+            assert got.dtype == np.float64 and got.tolist() == want.tolist()
+        assert 0 <= stream.buffer.size - stream.at < chunk  # less than a chunk drawn ahead
 
 
 @common
