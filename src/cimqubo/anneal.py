@@ -95,9 +95,9 @@ BACKEND_CIM = "behavioral-cim"
 # Pregenerated draws per lockstep block: the gate buffer takes 4 MiB in the int32 lane.
 _BLOCK_DRAWS = 1 << 20
 _DRAW_CHUNK = 64  # runs whose float64 gate draws are scaled together, 512 KiB at 1000 steps
-_STEP_CHUNK = 64  # steps whose flip-only terms are staged, and whose noise is drawn, at a time
-_STAGE_PAIRS = 1 << 8  # fewer steps where a block's staged (step, run) pairs would pass this,
-_NOISE_DRAWS = 1 << 18  # or its normals drawn ahead this, 2 MiB
+_STEP_CHUNK = 64  # steps whose flip-only terms are staged, and whose noise is drawn, at a time,
+_STAGE_PAIRS = 1 << 8  # but no more staged (step, run) pairs per block than this
+_NOISE_DRAWS = 1 << 18  # and no more normals drawn ahead per block than this, 2 MiB
 # t_end / t_start of the default schedule, also used when only t_start is given
 COOLING_RATIO = 0.5
 # annealing steps per run unless a schedule or caller says otherwise
@@ -347,10 +347,9 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
     states = _generator_states(np.array(seeds, dtype=np.uint64))
     bits = np.random.PCG64()  # every run sets its own state before it draws
     gen = np.random.Generator(bits)
-    steps = max(1, min(_STEP_CHUNK, _STAGE_PAIRS // runs))
     # a behavioral step draws at most a filter check's normal and a read's per plane
     per_step = 0 if exact else 1 + ctx.crossbar.scale.size
-    noise = max(per_step, min(_STEP_CHUNK * per_step, _NOISE_DRAWS // runs))
+    noise_chunk = max(per_step, min(_STEP_CHUNK * per_step, _NOISE_DRAWS // runs))
     rngs = []  # behavioral runs go on drawing noise, each from its own generator
     for start in range(0, runs, len(draws)):
         chunk = draws[: min(runs - start, len(draws))]
@@ -360,7 +359,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
             flips[:, r] = gen.integers(0, ctx.dim, size=iters)
             gen.random(out=chunk[r - start])
             if not exact:
-                rngs.append(_NormalStream(np.random.Generator(copy.copy(bits)), noise))
+                rngs.append(_NormalStream(np.random.Generator(copy.copy(bits)), noise_chunk))
         # Metropolis thresholds: accept dE > 0 iff dE < T * g with g = -log u
         np.log(chunk, out=chunk)
         chunk *= -ctx.temps
@@ -407,6 +406,7 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         traj_moved = np.empty((iters, runs), dtype=bool)
         traj_feas = np.empty((iters, runs), dtype=bool)
 
+    steps = max(1, min(_STEP_CHUNK, _STAGE_PAIRS // runs))
     for i in range(iters):
         k = i % steps
         if not k:  # stage the terms that depend only on the flips, for the next chunk of steps

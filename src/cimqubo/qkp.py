@@ -78,7 +78,7 @@ class _NormalStream:
 def _as_rng(rng) -> np.random.Generator | _NormalStream:
     """A Generator or an annealing run's _NormalStream as given, a fresh-entropy
     Generator for None, else one seeded by rng."""
-    if isinstance(rng, (np.random.Generator, _NormalStream)):
+    if isinstance(rng, (_NormalStream, np.random.Generator)):
         return rng
     return np.random.default_rng(None if rng is None else _as_int(rng, "rng", 0, _SEED_LIMIT))
 
