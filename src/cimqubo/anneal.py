@@ -96,7 +96,7 @@ BACKEND_CIM = "behavioral-cim"
 _BLOCK_DRAWS = 1 << 20
 _DRAW_CHUNK = 64  # runs whose float64 gate draws are scaled together, 512 KiB at 1000 steps
 _STEP_CHUNK = 64  # steps whose flip-only terms are staged, and whose noise is drawn, at a time,
-_STAGE_PAIRS = 1 << 8  # but no more staged (step, run) pairs per block than this
+_STAGE_BYTES = 1 << 20  # but no more staged bytes per block than this
 _NOISE_DRAWS = 1 << 18  # and no more normals drawn ahead per block than this, 2 MiB
 # t_end / t_start of the default schedule, also used when only t_start is given
 COOLING_RATIO = 0.5
@@ -406,7 +406,9 @@ def _anneal(ctx, initials, seeds, record_trajectory=False):
         traj_moved = np.empty((iters, runs), dtype=bool)
         traj_feas = np.empty((iters, runs), dtype=bool)
 
-    steps = max(1, min(_STEP_CHUNK, _STAGE_PAIRS // runs))
+    # a (step, run) pair stages its flip, position, weight and, on behavioral-cim, its lines
+    pair = 8 * (2 + track_weight) + (0 if exact else cells.units[0].nbytes + cells.lines[0].nbytes)
+    steps = max(1, min(_STEP_CHUNK, _STAGE_BYTES // (runs * pair)))
     for i in range(iters):
         k = i % steps
         if not k:  # stage the terms that depend only on the flips, for the next chunk of steps
