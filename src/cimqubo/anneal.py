@@ -96,7 +96,7 @@ BACKEND_CIM = "behavioral-cim"
 _BLOCK_DRAWS = 1 << 20
 _DRAW_CHUNK = 64  # runs whose float64 gate draws are scaled together, 512 KiB at 1000 steps
 _STEP_CHUNK = 64  # steps whose flip-only terms are staged, and whose noise is drawn, at a time,
-_STAGE_BYTES = 1 << 20  # but no more staged bytes per block than this
+_STAGE_BYTES = 1 << 18  # but no more staged bytes per block than this, 256 KiB
 _NOISE_DRAWS = 1 << 18  # and no more normals drawn ahead per block than this, 2 MiB
 # t_end / t_start of the default schedule, also used when only t_start is given
 COOLING_RATIO = 0.5
