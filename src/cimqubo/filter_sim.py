@@ -149,8 +149,8 @@ def filter_check(model: FilterModel, x, rng=None) -> FilterDecision:
             raise CapacityError(f"noisy matchline drop {drop} at noise_sigma {sigma} "
                                 "is not a finite float64")
     working = max(0.0, VDD - drop)
-    return FilterDecision(working_ml=working, replica_ml=model.replica_ml,
-                          feasible=bool(working >= model.replica_ml))
+    # positional, in field order (working_ml, replica_ml, feasible), which is faster than keywords
+    return FilterDecision(working, model.replica_ml, bool(working >= model.replica_ml))
 
 
 def sample_balanced_configs(

@@ -15,6 +15,7 @@ import pytest
 
 from cimqubo import InequalityQuboModel, QkpInstance, generate_instance
 from cimqubo.filter_sim import VDD
+from cimqubo.transform import _SPARSE_THRESHOLD
 
 
 def ref_objective(profits, x):
@@ -151,6 +152,28 @@ def ref_dqubo_energy(profits, weights, capacity, x, y, alpha, beta):
     ysum = sum(y)
     ksum = sum(k * yk for k, yk in zip(range(1, capacity + 1), y))
     return -obj + alpha * (ysum - 1) ** 2 + beta * (wsum - ksum) ** 2
+
+
+def ref_qubo_document(model):
+    """The JSON value dump_qubo_json writes for model, by plain loops over
+    model.qubo.q: every row ("dense"), or the row-major [i, j, value] triples
+    of the nonzero cells ("sparse") when they are under _SPARSE_THRESHOLD of
+    the cells, beside the mode, dim, offset, weights and capacity and, for the
+    penalty form, alpha and beta."""
+    q = model.qubo.q.tolist()
+    dim = len(q)
+    triples = [[i, j, q[i][j]] for i in range(dim) for j in range(dim) if q[i][j] != 0]
+    doc = {"dim": dim, "offset": model.qubo.offset,
+           "weights": model.instance.weights.tolist(), "capacity": model.instance.capacity}
+    if isinstance(model, InequalityQuboModel):
+        doc["mode"] = "inequality"
+    else:
+        doc.update(mode="dqubo", alpha=model.alpha, beta=model.beta)
+    if len(triples) / (dim * dim) < _SPARSE_THRESHOLD:
+        doc.update(encoding="sparse", entries=triples)
+    else:
+        doc.update(encoding="dense", entries=q)
+    return doc
 
 
 def ref_energy_bound(q, offset):

@@ -13,6 +13,7 @@ from cimqubo import (
     build_dqubo,
     build_inequality_qubo,
     default_schedule,
+    dump_qubo_json,
     filter_study,
     generate_instance,
     load_instance,
@@ -83,6 +84,18 @@ def test_transform_dqubo(tiny_path, capsys):
     assert doc["dim"] == 12
     assert doc["alpha"] == 3
     assert "dim=12" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["ineq", "dqubo"])
+def test_transform_writes_dump_qubo_json_byte_for_byte(mode, tiny_path, tmp_path, capsys):
+    inst = load_instance(tiny_path)
+    model = build_inequality_qubo(inst) if mode == "ineq" else build_dqubo(inst, 3, 4)
+    penalties = [] if mode == "ineq" else ["--alpha", "3", "--beta", "4"]
+    assert main(["transform", tiny_path, "--mode", mode, *penalties]) == 0
+    assert capsys.readouterr().out == dump_qubo_json(model)
+    out = tmp_path / "q.json"
+    assert main(["transform", tiny_path, "--mode", mode, *penalties, "-o", str(out)]) == 0
+    assert out.read_bytes() == dump_qubo_json(model).encode()
 
 
 def test_transform_requires_mode(tiny_path):

@@ -72,6 +72,7 @@ from conftest import (
     ref_initials,
     ref_int_setting,
     ref_plane_counts,
+    ref_qubo_document,
     ref_qubo_energy,
     ref_real_setting,
     ref_run_seed,
@@ -649,6 +650,38 @@ def test_qubo_json_round_trip_keeps_the_constraint(inst, mode, alpha, beta):
         assert ("alpha" in sidecars, "beta" in sidecars) == (False, False)
     else:
         assert (sidecars["alpha"], sidecars["beta"]) == (alpha, beta)
+
+
+@common
+@given(n=st.integers(2, 12), density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(sorted(BUILDS)),
+       alpha=st.integers(1, 50), beta=st.integers(1, 50))
+def test_qubo_json_writes_the_reference_document_one_entry_per_line(n, density, seed, mode,
+                                                                     alpha, beta):
+    """Sparse (a diagonal or thinner profit matrix from 5 items up) and dense
+    documents: the value is the reference's, each key takes one line and each
+    matrix row or triple one more."""
+    inst = generate_instance(n, density=density, wmax=5, seed=seed)
+    model = build_inequality_qubo(inst) if mode == "hycim" else build_dqubo(inst, alpha, beta)
+    text = dump_qubo_json(model)
+    doc = json.loads(text)
+    assert doc == ref_qubo_document(model)
+    assert list(doc) == sorted(doc)
+    entries = doc["entries"]
+    lines = text.splitlines()
+    assert len(lines) == 2 + len(doc) + (len(entries) + 1 if entries else 0)
+    if entries:
+        start = lines.index('  "entries": [') + 1
+        assert [json.loads(line.removesuffix(",")) for line in lines[start:start + len(entries)]] == entries
+        assert len(entries) == (model.dim if doc["encoding"] == "dense" else np.count_nonzero(model.qubo.q))
+
+
+def test_qubo_json_writes_an_all_zero_matrix_as_no_entries():
+    model = build_inequality_qubo(make_instance(np.zeros((3, 3), dtype=np.int64), [1, 2, 3], 4))
+    text = dump_qubo_json(model)
+    assert '  "entries": [],' in text.splitlines()
+    assert json.loads(text) == ref_qubo_document(model)
+    assert load_qubo_json(text).qubo == model.qubo
 
 
 @st.composite

@@ -357,8 +357,9 @@ def test_qubo_json_error_paths():
     ({"entries": [[1, 2], [3]]}, "2 rows of 2"),
     ({"entries": [[1, 2]]}, "2 rows of 2"),
     ({"entries": 5}, "2 rows of 2"),
+    ({"encoding": "sparse", "entries": [[0, 1, 2], [1, 0, 3], [0, 1, 5]]}, r"\(0, 1\) repeats"),
 ], ids=["dim-string", "dim-negative", "dim-bool", "mode", "sparse-pair", "sparse-flat",
-        "dense-ragged", "dense-short", "dense-scalar"])
+        "dense-ragged", "dense-short", "dense-scalar", "sparse-repeat"])
 def test_qubo_json_rejects_malformed_structure(changes, message):
     doc = {"mode": "inequality", "dim": 2, "offset": 0, "encoding": "dense",
            "entries": [[1, 2], [3, 4]]}
