@@ -57,7 +57,7 @@ class FilterModel:
     replica_ml: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterDecision:
     working_ml: float
     replica_ml: float

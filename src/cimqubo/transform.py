@@ -325,9 +325,12 @@ def load_qubo_json(text: str) -> QuboDocument:
         raise ParseError(1, str(exc)) from None
     entries = doc["entries"]
     if doc["encoding"] == "dense":
-        if not (isinstance(entries, list) and len(entries) == dim
-                and all(isinstance(row, list) and len(row) == dim for row in entries)):
-            raise ParseError(1, f"dense entries must be {dim} rows of {dim} numbers")
+        shape = f"dense entries must be {dim} rows of {dim} numbers"
+        if not (isinstance(entries, list) and len(entries) == dim):
+            raise ParseError(1, shape)
+        for k, row in enumerate(entries):
+            if not (isinstance(row, list) and len(row) == dim):
+                raise ParseError(1, f"{shape}: entries[{k}] is not a row of {dim}")
         q = _as_int_array(entries, "entries", copy=False)
     elif doc["encoding"] == "sparse":
         triples = _as_int_array(entries, "entries")
@@ -336,12 +339,15 @@ def load_qubo_json(text: str) -> QuboDocument:
         i, j, v = triples.reshape(-1, 3).T
         outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= dim)
         if outside.any():
-            raise ParseError(1, f"sparse index ({i[outside][0]}, {j[outside][0]}) out of range for dim {dim}")
+            k = outside.argmax()
+            raise ParseError(1, f"sparse entries[{k}]: index ({i[k]}, {j[k]}) out of range for dim {dim}")
         q = np.zeros((dim, dim), dtype=np.int64)  # allocated, its size bounds i dim + j: no wrap
-        _, first, hits = np.unique(i * dim + j, return_index=True, return_counts=True)
-        if (hits > 1).any():
-            k = first[np.argmax(hits > 1)]
-            raise ParseError(1, f"sparse index ({i[k]}, {j[k]}) repeats")
+        first = np.unique(i * dim + j, return_index=True)[1]
+        if first.size < i.size:
+            later = np.ones(i.size, dtype=bool)
+            later[first] = False
+            k = later.argmax()  # the first triple whose index an earlier triple holds
+            raise ParseError(1, f"sparse entries[{k}]: index ({i[k]}, {j[k]}) repeats")
         q[i, j] = v
     else:
         raise ParseError(1, f"unknown encoding {doc['encoding']!r}")

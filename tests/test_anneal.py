@@ -508,6 +508,28 @@ def test_records_do_not_depend_on_block_size(monkeypatch, backend):
                 assert whole == blocked
 
 
+@pytest.mark.parametrize("mode", ["hycim", "dqubo"])
+def test_records_do_not_depend_on_the_move_form(monkeypatch, mode):
+    # a hot start moves most runs of a step and a cold end few, so by default the
+    # block gathers the moved rows on some steps and moves every row on others;
+    # a share of 0.0 never gathers and 2.0 always does
+    problem = anneal._build_problem(criterion7_instance(3), mode, 2, 2)
+    sched = AnnealSchedule(iterations=200, t_start=1e9, t_end=1.0)
+    ctx = anneal._Context(problem, "exact-software", sched)
+    initials = anneal._draw_initials(4, 12, ctx.dim)
+    seeds = list(range(12))
+    block = anneal._anneal(ctx, initials, seeds, record_trajectory=True)
+    share = np.array([[row[2] for row in rec.trajectory] for rec in block]).mean(axis=0)
+    assert ((share > 0) & (share < anneal._GATHER_SHARE)).any()
+    assert (share >= anneal._GATHER_SHARE).any()
+    single = sa_run(problem, "exact-software", sched, initials[0], 7, record_trajectory=True)
+    for gather_share in (0.0, 2.0):
+        monkeypatch.setattr(anneal, "_GATHER_SHARE", gather_share)
+        assert anneal._anneal(ctx, initials, seeds, record_trajectory=True) == block
+        again = sa_run(problem, "exact-software", sched, initials[0], 7, record_trajectory=True)
+        assert again == single  # trajectory included
+
+
 def test_batch_memory_is_bounded():
     # 1000 dqubo runs over 120 bits: one lockstep block plus the kept records.  The
     # block's gates sit in the int32 lane; a float64 gate buffer alone takes 8 MiB.

@@ -358,8 +358,19 @@ def test_qubo_json_error_paths():
     ({"entries": [[1, 2]]}, "2 rows of 2"),
     ({"entries": 5}, "2 rows of 2"),
     ({"encoding": "sparse", "entries": [[0, 1, 2], [1, 0, 3], [0, 1, 5]]}, r"\(0, 1\) repeats"),
+    # a per-entry fault names its entry; a repeat names the later, repeating triple
+    ({"entries": [[1, 2], [3, 4, 5]]}, r"2 rows of 2 numbers: entries\[1\] is not a row of 2$"),
+    ({"entries": [5, [3, 4]]}, r"entries\[0\] is not a row of 2$"),
+    ({"encoding": "sparse", "entries": [[0, 1, 2], [1, 2, 3]]},
+     r"sparse entries\[1\]: index \(1, 2\) out of range for dim 2$"),
+    ({"encoding": "sparse", "entries": [[0, 1, 2], [1, 0, 3], [0, 1, 5]]},
+     r"line 1: sparse entries\[2\]: index \(0, 1\) repeats$"),
+    ({"encoding": "sparse", "entries": [[1, 1, 2], [0, 1, 3], [1, 1, 5], [0, 1, 7]]},
+     r"sparse entries\[2\]: index \(1, 1\) repeats$"),
 ], ids=["dim-string", "dim-negative", "dim-bool", "mode", "sparse-pair", "sparse-flat",
-        "dense-ragged", "dense-short", "dense-scalar", "sparse-repeat"])
+        "dense-ragged", "dense-short", "dense-scalar", "sparse-repeat", "dense-long-row-named",
+        "dense-scalar-row-named", "sparse-outside-named", "sparse-repeat-named",
+        "sparse-first-repeat-named"])
 def test_qubo_json_rejects_malformed_structure(changes, message):
     doc = {"mode": "inequality", "dim": 2, "offset": 0, "encoding": "dense",
            "entries": [[1, 2], [3, 4]]}
